@@ -10,14 +10,11 @@ unrealizability together with an environment counterstrategy.
 from .automata import (
     Buchi,
     CoBuchi,
-    GeneralizedBuchi,
     Lasso,
-    Muller,
     OmegaAutomaton,
     OnePairRabin,
     Parity,
     Safety,
-    Streett,
     ValidationError,
     decompose_rabin,
     eval_lasso,
@@ -79,11 +76,9 @@ __all__ = [
     "CoBuchi",
     "ConjunctSource",
     "DifferentialReport",
-    "GeneralizedBuchi",
     "HoaError",
     "Lasso",
     "MealyMachine",
-    "Muller",
     "NormalizedSpec",
     "OmegaAutomaton",
     "OnePairRabin",
@@ -96,7 +91,6 @@ __all__ = [
     "Solution",
     "SpecProblem",
     "StrategyCounterexample",
-    "Streett",
     "SynthesisGame",
     "SynthesisOutcome",
     "Unrealizable",

@@ -4,13 +4,15 @@ States are dense 0-based indices.  Every automaton is expected to be
 deterministic and total over the proposition table it is evaluated against:
 for each state and each concrete letter exactly one outgoing guard holds.
 Words are handled in ultimately-periodic (lasso) form, which suffices to
-decide all acceptance conditions implemented here.
+decide every acceptance condition implemented here.  Those are exactly the
+kinds the synthesis pipeline reads or produces: safety, Buchi, co-Buchi and
+one-pair Rabin conjuncts, and the parity condition of the product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Callable, Union
 
 from .boolexpr import ApTable, BoolExpr, evaluate
 
@@ -52,35 +54,10 @@ class Parity:
     n_colours: int
 
 
-@dataclass(frozen=True)
-class GeneralizedBuchi:
-    """Accept iff every member set is visited infinitely often."""
+Acceptance = Union[Safety, Buchi, CoBuchi, OnePairRabin, Parity]
 
-    sets: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class Streett:
-    """Accept iff no pair behaves like an accepting Rabin pair: for each pair,
-    the run leaves ``persistent`` infinitely often or avoids ``recurrent``
-    from some point on."""
-
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
-
-
-@dataclass(frozen=True)
-class Muller:
-    """Accept iff the set of states visited infinitely often is listed."""
-
-    accept_sets: tuple[frozenset[int], ...]
-
-
-Acceptance = Union[
-    Safety, Buchi, CoBuchi, OnePairRabin, Parity, GeneralizedBuchi, Streett, Muller
-]
-
-#: Acceptance kinds allowed for specification conjuncts.  The remaining kinds
-#: exist only so that lasso evaluation covers every classical condition.
+#: Acceptance kinds allowed for specification conjuncts.  ``Parity`` is the
+#: condition of the product automaton only.
 CONJUNCT_KINDS = (Safety, Buchi, CoBuchi, OnePairRabin)
 
 
@@ -164,12 +141,6 @@ def acceptance_state_sets(acc: Acceptance) -> tuple[frozenset[int], ...]:
             return (persistent, recurrent)
         case Parity():
             return ()
-        case GeneralizedBuchi(sets):
-            return tuple(sets)
-        case Streett(pairs):
-            return tuple(s for pair in pairs for s in pair)
-        case Muller(accept_sets):
-            return tuple(accept_sets)
     raise TypeError(f"not an acceptance condition: {acc!r}")
 
 
@@ -186,12 +157,6 @@ def accepts_inf(acc: Acceptance, inf: frozenset[int]) -> bool:
             return inf <= persistent and bool(inf & recurrent)
         case Parity(colours, _):
             return max(colours[s] for s in inf) % 2 == 0
-        case GeneralizedBuchi(sets):
-            return all(inf & s for s in sets)
-        case Streett(pairs):
-            return all(not (inf <= p) or not (inf & r) for p, r in pairs)
-        case Muller(accept_sets):
-            return inf in accept_sets
     raise TypeError(f"not an acceptance condition: {acc!r}")
 
 
@@ -253,40 +218,40 @@ def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
     ]
 
 
-def run_stem(aut: OmegaAutomaton, word: tuple[int, ...], table: ApTable) -> int:
-    state = aut.initial
-    for letter in word:
-        state = step(aut, state, letter, table)
-    return state
+def infinity_set(
+    successor: Callable[[int, int], int],
+    initial: int,
+    lasso: Lasso,
+) -> frozenset[int]:
+    """States visited infinitely often by the deterministic run on the lasso.
 
-
-def infinity_set(aut: OmegaAutomaton, lasso: Lasso, table: ApTable) -> frozenset[int]:
-    """States visited infinitely often by the unique run on the lasso word.
-
-    Iterates the loop from the post-stem state until the state at a loop
-    boundary repeats (guaranteed within ``n_states`` passes); the states
-    entered during the repeating cycle are exactly the infinitely visited ones.
+    ``successor(state, letter)`` is the transition function.  Iterates the
+    loop from the post-stem state until the state at a loop boundary repeats
+    (guaranteed within as many passes as there are states); the states entered
+    during the repeating cycle are exactly the infinitely visited ones.
     """
-    state = run_stem(aut, lasso.stem, table)
+    state = initial
+    for letter in lasso.stem:
+        state = successor(state, letter)
     boundary_pass = {state: 0}
     entered_per_pass: list[list[int]] = []
-    current = state
     while True:
         entered = []
         for letter in lasso.loop:
-            current = step(aut, current, letter, table)
-            entered.append(current)
+            state = successor(state, letter)
+            entered.append(state)
         entered_per_pass.append(entered)
-        if current in boundary_pass:
-            first = boundary_pass[current]
+        if state in boundary_pass:
+            first = boundary_pass[state]
             return frozenset(
                 s for states in entered_per_pass[first:] for s in states)
-        boundary_pass[current] = len(entered_per_pass)
+        boundary_pass[state] = len(entered_per_pass)
 
 
 def eval_lasso(aut: OmegaAutomaton, lasso: Lasso, table: ApTable) -> bool:
     """Acceptance verdict of the automaton on the lasso word."""
-    return accepts_inf(aut.acceptance, infinity_set(aut, lasso, table))
+    inf = infinity_set(lambda s, a: step(aut, s, a, table), aut.initial, lasso)
+    return accepts_inf(aut.acceptance, inf)
 
 
 def decompose_rabin(aut: OmegaAutomaton) -> tuple[OmegaAutomaton, OmegaAutomaton]:

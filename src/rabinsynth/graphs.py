@@ -1,4 +1,4 @@
-"""Small graph helpers shared by the solvers and the machine verifier."""
+"""Small graph helpers shared by the strategy certifier and the machine verifier."""
 
 from __future__ import annotations
 
@@ -89,4 +89,39 @@ def find_cycle_through(
                     parents[w] = v
                     next_frontier.append(w)
         frontier = next_frontier
+    return None
+
+
+def find_max_colour_cycle(
+    vertices: Iterable[int],
+    successors: Callable[[int], Sequence[int]],
+    colour: Callable[[int], int],
+    colours: Iterable[int],
+) -> tuple[int, list[int]] | None:
+    """First cycle whose maximum colour is one of ``colours``, tried in order.
+
+    For each ``d``, the non-trivial SCCs of the subgraph on vertices of colour
+    at most ``d`` are searched (in Tarjan order over ``vertices``) for one
+    holding a colour-``d`` vertex; the cycle starts at the smallest such
+    vertex.  Returns ``(d, cycle)`` with the closing edge implicit, or
+    ``None``.
+    """
+    vertices = list(vertices)
+    for d in colours:
+        sub = [v for v in vertices if colour(v) <= d]
+        sub_set = set(sub)
+
+        def sub_succ(v: int) -> list[int]:
+            return [t for t in successors(v) if t in sub_set]
+
+        for component in strongly_connected_components(sub, sub_succ):
+            witnesses = [v for v in component if colour(v) == d]
+            if not witnesses:
+                continue
+            if len(component) == 1 and component[0] not in sub_succ(component[0]):
+                continue
+            cycle = find_cycle_through(
+                min(witnesses), set(component).__contains__, sub_succ)
+            assert cycle is not None
+            return d, cycle
     return None

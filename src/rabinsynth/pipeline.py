@@ -15,13 +15,14 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .automata import Lasso, OmegaAutomaton, eval_lasso
+from .automata import (
+    Lasso, OmegaAutomaton, Parity, accepts_inf, eval_lasso, infinity_set)
 from .boolexpr import ApTable
 from .game import SYSTEM, SynthesisGame, build_game
 from .hoa import parse_hoa
-from .ltl import ClassifiedConjunct, Role, compile_pattern, normalize, parse_ltl
+from .ltl import ClassifiedConjunct, compile_pattern, normalize, parse_ltl
 from .mealy import MealyMachine
-from .graphs import find_cycle_through, strongly_connected_components
+from .graphs import find_max_colour_cycle
 from .product import (
     CapacityExceeded,
     NormalizedSpec,
@@ -121,18 +122,7 @@ def normalize_problem(problem: SpecProblem) -> NormalizedSpec:
                 raise
             except Exception as exc:
                 raise NormalizationError(f"bad {role} conjunct: {exc}") from exc
-    def pick(role: Role, kind: str) -> tuple[OmegaAutomaton, ...]:
-        return tuple(c.automaton for c in classified
-                     if c.role == role and c.kind == kind)
-
-    return NormalizedSpec(
-        inputs=tuple(problem.inputs),
-        outputs=tuple(problem.outputs),
-        buchi_assumptions=pick("assumption", "buchi"),
-        cobuchi_assumptions=pick("assumption", "cobuchi"),
-        buchi_guarantees=pick("guarantee", "buchi"),
-        cobuchi_guarantees=pick("guarantee", "cobuchi"),
-    )
+    return NormalizedSpec.from_classified(problem.inputs, problem.outputs, classified)
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +236,15 @@ def verify_mealy(machine: MealyMachine, pa: ParityAutomaton) -> Violation | None
             row.append((letter, target))
         edges.append(row)
 
-    colour = [pa.colours[q] for _, q in order]
-    for d in (1, 3):
-        sub = [v for v in range(len(order)) if colour[v] <= d]
-        sub_set = set(sub)
-
-        def sub_succ(v: int) -> list[int]:
-            return [t for _, t in edges[v] if t in sub_set]
-
-        for component in strongly_connected_components(sub, sub_succ):
-            members = set(component)
-            witnesses = [v for v in component if colour[v] == d]
-            if not witnesses:
-                continue
-            if len(component) == 1 and component[0] not in sub_succ(component[0]):
-                continue
-            entry = min(witnesses)
-            cycle = find_cycle_through(entry, members.__contains__, sub_succ)
-            assert cycle is not None
-            return Violation(_witness_lasso(edges, entry, cycle))
-    return None
+    found = find_max_colour_cycle(
+        range(len(order)), lambda v: [t for _, t in edges[v]],
+        lambda v: pa.colours[order[v][1]], (1, 3))
+    return None if found is None else Violation(_witness_lasso(edges, found[1]))
 
 
-def _witness_lasso(
-    edges: list[list[tuple[int, int]]],
-    entry: int,
-    cycle: list[int],
-) -> Lasso:
+def _witness_lasso(edges: list[list[tuple[int, int]]], cycle: list[int]) -> Lasso:
     # stem: breadth-first path from the initial node to the cycle entry
+    entry = cycle[0]
     parents: dict[int, tuple[int, int]] = {}
     frontier = [0]
     seen = {0}
@@ -316,25 +287,10 @@ def lasso_oracle(spec: NormalizedSpec, lasso: Lasso) -> bool:
 
 
 def product_accepts(pa: ParityAutomaton, lasso: Lasso) -> bool:
-    """Run the product on a lasso; accept iff the repeating cycle's maximum
-    colour is even (cycle detection keyed on the loop-boundary state)."""
-    state = pa.initial
-    for letter in lasso.stem:
-        state = pa.transitions[state][letter]
-    boundary = {state: 0}
-    per_pass: list[list[int]] = []
-    current = state
-    while True:
-        entered = []
-        for letter in lasso.loop:
-            current = pa.transitions[current][letter]
-            entered.append(current)
-        per_pass.append(entered)
-        if current in boundary:
-            first = boundary[current]
-            cycle_states = {s for states in per_pass[first:] for s in states}
-            return max(pa.colours[s] for s in cycle_states) % 2 == 0
-        boundary[current] = len(per_pass)
+    """Run the product on a lasso; accept iff the maximum colour visited
+    infinitely often is even."""
+    inf = infinity_set(lambda s, a: pa.transitions[s][a], pa.initial, lasso)
+    return accepts_inf(Parity(pa.colours, 5), inf)
 
 
 @dataclass(frozen=True)

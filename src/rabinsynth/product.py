@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .automata import (
     Buchi,
@@ -26,6 +26,7 @@ from .automata import (
 )
 from .boolexpr import ApTable
 from .hoa import automaton_from_letter_table
+from .ltl import ClassifiedConjunct
 
 
 class CapacityExceeded(Exception):
@@ -50,6 +51,27 @@ class NormalizedSpec:
     cobuchi_assumptions: tuple[OmegaAutomaton, ...]
     buchi_guarantees: tuple[OmegaAutomaton, ...]
     cobuchi_guarantees: tuple[OmegaAutomaton, ...]
+
+    @classmethod
+    def from_classified(
+        cls,
+        inputs: Iterable[str],
+        outputs: Iterable[str],
+        conjuncts: Sequence[ClassifiedConjunct],
+    ) -> NormalizedSpec:
+        """Sort classified conjuncts into the four sets, keeping their order."""
+        def pick(role: str, kind: str) -> tuple[OmegaAutomaton, ...]:
+            return tuple(c.automaton for c in conjuncts
+                         if c.role == role and c.kind == kind)
+
+        return cls(
+            inputs=tuple(inputs),
+            outputs=tuple(outputs),
+            buchi_assumptions=pick("assumption", "buchi"),
+            cobuchi_assumptions=pick("assumption", "cobuchi"),
+            buchi_guarantees=pick("guarantee", "buchi"),
+            cobuchi_guarantees=pick("guarantee", "cobuchi"),
+        )
 
     def table(self) -> ApTable:
         return ApTable(tuple(self.inputs) + tuple(self.outputs))
@@ -232,13 +254,14 @@ def build_product(
         g_flags = [guarantee_accepting[j][comps[n1 + n2 + j]] for j in range(n3)]
         d_flags = [guarantee_rejecting[j][comps[n1 + n2 + n3 + j]]
                    for j in range(spec.n_cobuchi_guarantees)]
+        # the control structure reads only the source state
+        counters = control_successor(
+            state.awaiting_assumption, state.awaiting_guarantee,
+            state.assumptions_serviced, a_flags, g_flags, d_flags)
         row = []
         for letter in letters:
             next_comps = tuple(
                 tables[j][comps[j]][letter] for j in range(len(components)))
-            counters = control_successor(
-                state.awaiting_assumption, state.awaiting_guarantee,
-                state.assumptions_serviced, a_flags, g_flags, d_flags)
             successor = ProductState(next_comps, *counters)
             target = index.get(successor)
             if target is None:

@@ -122,19 +122,7 @@ def random_normalized_spec(
                     rng, table, rng.randrange(2, max_component_states + 1),
                     rng.choice(automaton_kinds))
             classified.extend(normalize(aut, role, table))
-
-    def pick(role, kind):
-        return tuple(c.automaton for c in classified
-                     if c.role == role and c.kind == kind)
-
-    return NormalizedSpec(
-        inputs=inputs,
-        outputs=outputs,
-        buchi_assumptions=pick("assumption", "buchi"),
-        cobuchi_assumptions=pick("assumption", "cobuchi"),
-        buchi_guarantees=pick("guarantee", "buchi"),
-        cobuchi_guarantees=pick("guarantee", "cobuchi"),
-    )
+    return NormalizedSpec.from_classified(inputs, outputs, classified)
 
 
 def random_game(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .game import ENVIRONMENT, SYSTEM, SynthesisGame
-from .graphs import find_cycle_through, strongly_connected_components
+from .graphs import find_max_colour_cycle
 
 
 class ShapeError(Exception):
@@ -277,25 +277,11 @@ def certify_strategy(
                     return StrategyCounterexample(
                         claim, (v, t), "region is not closed under the opponent")
 
-        for d in range(bad_parity, 5, 2):
-            sub = {v for v in region if game.colour(v) <= d}
-
-            def sub_succ(v: int) -> list[int]:
-                return [t for t in restricted(v) if t in sub]
-
-            for component in strongly_connected_components(sorted(sub), sub_succ):
-                members = set(component)
-                witnesses = [v for v in component if game.colour(v) == d]
-                if not witnesses:
-                    continue
-                cyclic = len(component) > 1 or any(
-                    t == component[0] for t in sub_succ(component[0]))
-                if not cyclic:
-                    continue
-                start = min(witnesses)
-                cycle = find_cycle_through(start, members.__contains__, sub_succ)
-                assert cycle is not None
-                return StrategyCounterexample(
-                    claim, tuple(cycle),
-                    f"cycle with maximum colour {d} defeats the {claim} claim")
+        found = find_max_colour_cycle(
+            sorted(region), restricted, game.colour, range(bad_parity, 5, 2))
+        if found is not None:
+            d, cycle = found
+            return StrategyCounterexample(
+                claim, tuple(cycle),
+                f"cycle with maximum colour {d} defeats the {claim} claim")
     return None

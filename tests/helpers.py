@@ -12,14 +12,11 @@ import itertools
 from rabinsynth.automata import (
     Buchi,
     CoBuchi,
-    GeneralizedBuchi,
     Lasso,
-    Muller,
     OmegaAutomaton,
     OnePairRabin,
     Parity,
     Safety,
-    Streett,
 )
 from rabinsynth.boolexpr import ApTable, evaluate
 from rabinsynth.ltl import (
@@ -75,13 +72,6 @@ def naive_verdict(acceptance, inf: frozenset[int]) -> bool:
             inf & acceptance.recurrent) > 0
     if isinstance(acceptance, Parity):
         return max(acceptance.colours[s] for s in inf) % 2 == 0
-    if isinstance(acceptance, GeneralizedBuchi):
-        return all(len(inf & member) > 0 for member in acceptance.sets)
-    if isinstance(acceptance, Streett):
-        return all(
-            not inf.issubset(p) or len(inf & r) == 0 for p, r in acceptance.pairs)
-    if isinstance(acceptance, Muller):
-        return inf in acceptance.accept_sets
     raise TypeError(acceptance)
 
 

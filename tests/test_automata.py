@@ -6,17 +6,14 @@ from hypothesis import given, settings, strategies as st
 from rabinsynth.automata import (
     Buchi,
     CoBuchi,
-    GeneralizedBuchi,
     Lasso,
     MissingEdge,
-    Muller,
     NondeterministicEdge,
     OmegaAutomaton,
     OnePairRabin,
     Parity,
     RangeError,
     Safety,
-    Streett,
     WrongAcceptanceKind,
     decompose_rabin,
     eval_lasso,
@@ -100,23 +97,6 @@ class TestEvalLasso:
         aut = tracker(Parity((1, 2), 3))
         assert eval_lasso(aut, Lasso((), (P.letter(["p"]), 0)), P)  # max 2
         assert not eval_lasso(aut, Lasso((), (0,)), P)  # stuck at colour 1
-
-    def test_generalized_buchi(self):
-        acc = GeneralizedBuchi((frozenset({0}), frozenset({1})))
-        aut = tracker(acc)
-        assert eval_lasso(aut, Lasso((), (P.letter(["p"]), 0)), P)
-        assert not eval_lasso(aut, Lasso((), (P.letter(["p"]),)), P)
-
-    def test_streett_dualises_rabin(self):
-        rabin = tracker(OnePairRabin(frozenset({1}), frozenset({1})))
-        streett = tracker(Streett(((frozenset({1}), frozenset({1})),)))
-        for lasso in all_lassos(P, 2, 2):
-            assert eval_lasso(streett, lasso, P) != eval_lasso(rabin, lasso, P)
-
-    def test_muller_exact_inf(self):
-        aut = tracker(Muller((frozenset({0, 1}),)))
-        assert eval_lasso(aut, Lasso((), (P.letter(["p"]), 0)), P)
-        assert not eval_lasso(aut, Lasso((), (P.letter(["p"]),)), P)
 
     def test_matches_naive_simulation_on_random_instances(self):
         rng = random.Random(7)
