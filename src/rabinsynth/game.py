@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boolexpr import ApTable
 from .product import ParityAutomaton
 
@@ -20,22 +22,33 @@ ENVIRONMENT = 0
 SYSTEM = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisGame:
     """Bipartite letter-labelled parity game.
 
     Vertices ``0 .. n_states-1`` are Environment vertices (one per automaton
     state); vertex ``n_states + (q << input_bits) + x`` is the System vertex
     reached from state ``q`` by input ``x``.
+
+    ``transitions`` is a read-only int32 array of shape
+    ``(n_states, n_letters)``: ``transitions[q, x | y << input_bits]`` is the
+    state reached from ``q`` on input ``x`` and output ``y``.  A game built
+    from a product shares the product's array, and with it the product's
+    state numbering; any other row table given is converted to such an array.
     """
 
     table: ApTable
     input_bits: int
     output_bits: int
     n_states: int
-    transitions: tuple[tuple[int, ...], ...]  # state x combined letter -> state
+    transitions: np.ndarray
     state_colours: tuple[int, ...]
     initial: int
+
+    def __post_init__(self) -> None:
+        transitions = np.asarray(self.transitions, dtype=np.int32).view()
+        transitions.flags.writeable = False
+        object.__setattr__(self, "transitions", transitions)
 
     @property
     def n_inputs(self) -> int:
@@ -67,22 +80,26 @@ class SynthesisGame:
         """Successor of an Environment vertex under an input choice."""
         return self.n_states + (v << self.input_bits) + input_letter
 
-    def system_vertex_key(self, v: int) -> tuple[int, int]:
-        """Decode a System vertex into its (state, input letter) pair."""
-        raw = v - self.n_states
-        return raw >> self.input_bits, raw & (self.n_inputs - 1)
-
     def system_move(self, v: int, output_letter: int) -> int:
         """Successor of a System vertex under an output choice."""
-        state, input_letter = self.system_vertex_key(v)
-        return self.transitions[state][
-            input_letter | output_letter << self.input_bits]
+        state, input_letter = divmod(v - self.n_states, self.n_inputs)
+        return self.transitions.item(
+            state, input_letter | output_letter << self.input_bits)
 
     def moves(self, v: int) -> list[tuple[int, int]]:
         """All ``(letter, target)`` moves of a vertex, in letter order."""
         if v < self.n_states:
             return [(x, self.env_move(v, x)) for x in range(self.n_inputs)]
         return [(y, self.system_move(v, y)) for y in range(self.n_outputs)]
+
+    def successor_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Move targets indexed by move letter, rows in vertex order: one table
+        for the Environment vertices, one for the System vertices."""
+        env = self.n_states + np.arange(self.n_system_vertices).reshape(
+            self.n_states, self.n_inputs)
+        system = self.transitions.reshape(
+            self.n_states, self.n_outputs, self.n_inputs).transpose(0, 2, 1)
+        return env, system.reshape(self.n_system_vertices, self.n_outputs)
 
 
 def game_debug_dump(game: SynthesisGame) -> dict:

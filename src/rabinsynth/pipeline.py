@@ -18,7 +18,7 @@ import numpy as np
 from .automata import (
     Lasso, OmegaAutomaton, Parity, accepts_inf, eval_lasso, infinity_set)
 from .boolexpr import ApTable
-from .game import SYSTEM, SynthesisGame, build_game
+from .game import SynthesisGame, build_game
 from .hoa import parse_hoa
 from .ltl import ClassifiedConjunct, compile_pattern, normalize, parse_ltl
 from .mealy import MealyMachine
@@ -171,10 +171,7 @@ def extract_mealy(game: SynthesisGame, solution: Solution) -> MealyMachine:
     index = {game.initial: 0}
     order = [game.initial]
     rows: list[tuple[tuple[int, int], ...]] = []
-    position = 0
-    while position < len(order):
-        state_vertex = order[position]
-        position += 1
+    for state_vertex in order:
         row = []
         for x in range(game.n_inputs):
             middle = game.env_move(state_vertex, x)
@@ -182,8 +179,7 @@ def extract_mealy(game: SynthesisGame, solution: Solution) -> MealyMachine:
             target_vertex = game.system_move(middle, y)
             target = index.get(target_vertex)
             if target is None:
-                target = len(order)
-                index[target_vertex] = target
+                target = index[target_vertex] = len(order)
                 order.append(target_vertex)
             row.append((target, y))
         rows.append(tuple(row))
@@ -212,53 +208,41 @@ def verify_mealy(machine: MealyMachine, pa: ParityAutomaton) -> Violation | None
         raise IncompatibleAlphabets(
             "machine propositions do not match the specification alphabet")
     input_bits = len(machine.inputs)
-    n_inputs = 1 << input_bits
 
     start = (machine.initial, pa.initial)
     index = {start: 0}
     order = [start]
+    parents = [(0, 0)]  # breadth-first tree: (parent node, letter); root unused
     edges: list[list[tuple[int, int]]] = []  # node -> [(letter, node)]
-    position = 0
-    while position < len(order):
-        m, q = order[position]
-        position += 1
+    for m, q in order:
         row = []
-        for x in range(n_inputs):
+        for x in range(1 << input_bits):
             m2, y = machine.transitions[m][x]
             letter = x | y << input_bits
-            q2 = pa.transitions[q][letter]
-            node = (m2, q2)
+            node = (m2, pa.transitions.item(q, letter))
             target = index.get(node)
             if target is None:
-                target = len(order)
-                index[node] = target
+                target = index[node] = len(order)
                 order.append(node)
+                parents.append((len(edges), letter))
             row.append((letter, target))
         edges.append(row)
 
     found = find_max_colour_cycle(
         range(len(order)), lambda v: [t for _, t in edges[v]],
         lambda v: pa.colours[order[v][1]], (1, 3))
-    return None if found is None else Violation(_witness_lasso(edges, found[1]))
+    return None if found is None else Violation(
+        _witness_lasso(edges, parents, found[1]))
 
 
-def _witness_lasso(edges: list[list[tuple[int, int]]], cycle: list[int]) -> Lasso:
-    # stem: breadth-first path from the initial node to the cycle entry
-    entry = cycle[0]
-    parents: dict[int, tuple[int, int]] = {}
-    frontier = [0]
-    seen = {0}
-    while entry not in seen:
-        next_frontier = []
-        for v in frontier:
-            for letter, t in edges[v]:
-                if t not in seen:
-                    seen.add(t)
-                    parents[t] = (v, letter)
-                    next_frontier.append(t)
-        frontier = next_frontier
+def _witness_lasso(
+    edges: list[list[tuple[int, int]]],
+    parents: list[tuple[int, int]],
+    cycle: list[int],
+) -> Lasso:
+    # stem: the breadth-first tree path from the initial node to the cycle entry
     stem_letters: list[int] = []
-    cursor = entry
+    cursor = cycle[0]
     while cursor != 0:
         cursor, letter = parents[cursor]
         stem_letters.append(letter)
@@ -289,7 +273,7 @@ def lasso_oracle(spec: NormalizedSpec, lasso: Lasso) -> bool:
 def product_accepts(pa: ParityAutomaton, lasso: Lasso) -> bool:
     """Run the product on a lasso; accept iff the maximum colour visited
     infinitely often is even."""
-    inf = infinity_set(lambda s, a: pa.transitions[s][a], pa.initial, lasso)
+    inf = infinity_set(pa.transitions.item, pa.initial, lasso)
     return accepts_inf(Parity(pa.colours, 5), inf)
 
 
@@ -327,7 +311,8 @@ def differential_test(
     pa = build_product(spec, state_limit=state_limit)
     n = pa.n_states
     n_letters = pa.table.n_letters
-    transitions = np.array(pa.transitions, dtype=np.int64)
+    # int32 index arrays would be converted on every gather below
+    transitions = pa.transitions.astype(np.intp)
 
     conjuncts = []  # (is_assumption, is_buchi, marked state set) per component
     for aut in spec.buchi_assumptions:
@@ -350,20 +335,17 @@ def differential_test(
         signature[s] = bits
 
     # distinct end states of all stems, with multiplicities
-    stem_counts: dict[int, int] = {pa.initial: 1}
-    frontier = {pa.initial: 1}
+    stem_counts = np.zeros(n, dtype=np.int64)
+    stem_counts[pa.initial] = 1
+    frontier = stem_counts
     for _ in range(max_stem):
-        nxt: dict[int, int] = {}
-        for s, count in frontier.items():
-            for letter in range(n_letters):
-                t = pa.transitions[s][letter]
-                nxt[t] = nxt.get(t, 0) + count
-        for s, count in nxt.items():
-            stem_counts[s] = stem_counts.get(s, 0) + count
+        sources = np.flatnonzero(frontier)
+        nxt = np.zeros(n, dtype=np.int64)
+        np.add.at(nxt, transitions[sources], frontier[sources, None])
+        stem_counts = stem_counts + nxt
         frontier = nxt
-    end_states = np.array(sorted(stem_counts), dtype=np.int64)
-    end_multiplicity = np.array(
-        [stem_counts[s] for s in sorted(stem_counts)], dtype=np.int64)
+    end_states = np.flatnonzero(stem_counts)
+    end_multiplicity = stem_counts[end_states]
     n_stems = int(end_multiplicity.sum())
 
     doubling_rounds = max(1, (n - 1).bit_length())
@@ -413,20 +395,13 @@ def _reachable_counterstrategy(
     solution: Solution,
 ) -> dict[int, int]:
     moves: dict[int, int] = {}
-    queue = [game.initial]
-    seen = {game.initial}
-    while queue:
-        v = queue.pop()
-        if game.owner(v) == SYSTEM:
-            successors = [t for _, t in game.moves(v)]
-        else:
-            letter = solution.env_strategy[v]
-            moves[v] = letter
-            successors = [game.env_move(v, letter)]
-        for t in successors:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+    stack = [game.initial]
+    while stack:
+        v = stack.pop()
+        if v not in moves:
+            moves[v] = letter = solution.env_strategy[v]
+            middle = game.env_move(v, letter)
+            stack.extend(game.system_move(middle, y) for y in range(game.n_outputs))
     return dict(sorted(moves.items()))
 
 

@@ -11,9 +11,11 @@ or every guarantee conjunct accepts it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .automata import (
     Buchi,
@@ -92,10 +94,6 @@ class NormalizedSpec:
     @property
     def n_buchi_guarantees(self) -> int:
         return len(self.buchi_guarantees)
-
-    @property
-    def n_cobuchi_guarantees(self) -> int:
-        return len(self.cobuchi_guarantees)
 
 
 def validate_normalized(spec: NormalizedSpec) -> ApTable:
@@ -184,18 +182,22 @@ def colour_of(state: ProductState, spec: NormalizedSpec) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityAutomaton:
     """Reachable fragment of the product, densely re-indexed.
 
-    ``transitions[s][letter]`` is the successor index; ``states[s]`` recovers
-    the underlying product state.
+    ``transitions`` is a read-only int32 array of shape
+    ``(n_states, n_letters)``: ``transitions[s, letter]`` is the successor
+    index.  States are numbered in breadth-first discovery order: state 0 is
+    the initial state, and reading the array row-major, every new successor
+    gets the next free index.  ``colours[s]`` is a Python int and
+    ``states[s]`` recovers the underlying product state.
     """
 
     table: ApTable
     n_states: int
     initial: int
-    transitions: tuple[tuple[int, ...], ...]
+    transitions: np.ndarray
     colours: tuple[int, ...]
     states: tuple[ProductState, ...]
     spec: NormalizedSpec
@@ -214,71 +216,74 @@ def build_product(
     *,
     state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> ParityAutomaton:
-    """Breadth-first construction of the reachable parity product."""
+    """Breadth-first construction of the reachable parity product.
+
+    A state is keyed by one mixed-radix integer (component states, the two
+    counters, the flag) below :func:`raw_product_bound`, which must fit int64.
+    A whole level steps at once: successor keys are a gather-and-sum over the
+    radix-weighted component tables plus a control term per source state.
+    """
     table = validate_normalized(spec)
     bound = raw_product_bound(spec)
-    if bound > state_limit:
+    limit = min(state_limit, np.iinfo(np.int64).max)  # state keys are int64
+    if bound > limit:
         raise CapacityExceeded(
-            f"product bound {bound} exceeds the configured limit {state_limit}")
+            f"product bound {bound} exceeds the configured limit {limit}")
 
     components = spec.components
-    tables = [transition_table(aut, table) for aut in components]
+    k = len(components)
     n1 = spec.n_buchi_assumptions
     n2 = spec.n_cobuchi_assumptions
     n3 = spec.n_buchi_guarantees
-    assumption_accepting = [
-        tuple(s in aut.acceptance.accepting for s in range(aut.n_states))
-        for aut in spec.buchi_assumptions]
-    guarantee_accepting = [
-        tuple(s in aut.acceptance.accepting for s in range(aut.n_states))
-        for aut in spec.buchi_guarantees]
-    guarantee_rejecting = [
-        tuple(s in aut.acceptance.rejecting for s in range(aut.n_states))
-        for aut in spec.cobuchi_guarantees]
+    radices = np.array([aut.n_states for aut in components] + [n1 + 1, n3 + 1, 2],
+                       dtype=np.int64)
+    weights = np.cumprod(radices) // radices
+    weighted_tables = [np.array(transition_table(aut, table), dtype=np.int64) * w
+                       for aut, w in zip(components, weights)]
+    control_weights = weights[k:].tolist()
 
-    initial = ProductState(
-        components=tuple(aut.initial for aut in components),
-        awaiting_assumption=0,
-        awaiting_guarantee=0,
-        assumptions_serviced=False,
-    )
-    index: dict[ProductState, int] = {initial: 0}
-    order: list[ProductState] = [initial]
-    transitions: list[list[int]] = []
-    queue = deque([initial])
-    letters = range(table.n_letters)
-    while queue:
-        state = queue.popleft()
-        comps = state.components
-        a_flags = [assumption_accepting[j][comps[j]] for j in range(n1)]
-        g_flags = [guarantee_accepting[j][comps[n1 + n2 + j]] for j in range(n3)]
-        d_flags = [guarantee_rejecting[j][comps[n1 + n2 + n3 + j]]
-                   for j in range(spec.n_cobuchi_guarantees)]
-        # the control structure reads only the source state
-        counters = control_successor(
-            state.awaiting_assumption, state.awaiting_guarantee,
-            state.assumptions_serviced, a_flags, g_flags, d_flags)
-        row = []
-        for letter in letters:
-            next_comps = tuple(
-                tables[j][comps[j]][letter] for j in range(len(components)))
-            successor = ProductState(next_comps, *counters)
-            target = index.get(successor)
-            if target is None:
-                target = len(order)
-                index[successor] = target
-                order.append(successor)
-                queue.append(successor)
-            row.append(target)
-        transitions.append(row)
+    initial_key = sum(aut.initial * w for aut, w in zip(components, weights.tolist()))
+    index = {initial_key: 0}
+    frontier = np.array([initial_key], dtype=np.int64)
+    states: list[ProductState] = []
+    targets: list[int] = []
+    no_letters = np.zeros(table.n_letters, dtype=np.int64)  # broadcasts rows
+    while len(frontier):
+        digits = frontier[:, None] // weights % radices
+        control = []
+        for row in digits.tolist():
+            comps = tuple(row[:k])
+            state = ProductState(comps, row[k], row[k + 1], bool(row[k + 2]))
+            states.append(state)
+            # the control structure reads only the source state
+            counters = control_successor(
+                *state[1:],
+                [s in aut.acceptance.accepting
+                 for aut, s in zip(spec.buchi_assumptions, comps)],
+                [s in aut.acceptance.accepting
+                 for aut, s in zip(spec.buchi_guarantees, comps[n1 + n2:])],
+                [s in aut.acceptance.rejecting
+                 for aut, s in zip(spec.cobuchi_guarantees, comps[n1 + n2 + n3:])])
+            control.append(sum(c * w for c, w in zip(counters, control_weights)))
+        successors = np.array(control, dtype=np.int64)[:, None] + no_letters
+        for j, weighted in enumerate(weighted_tables):
+            successors += weighted[digits[:, j]]
+        # number new keys in (source, letter) order, as a FIFO queue would
+        known = len(index)
+        setdefault = index.setdefault
+        targets += [setdefault(key, len(index)) for key in successors.ravel().tolist()]
+        fresh = islice(reversed(index), len(index) - known)  # newest first
+        frontier = np.array(list(fresh)[::-1], dtype=np.int64)
 
+    transitions = np.array(targets, dtype=np.int32).reshape(len(states), -1)
+    transitions.flags.writeable = False
     return ParityAutomaton(
         table=table,
-        n_states=len(order),
+        n_states=len(states),
         initial=0,
-        transitions=tuple(tuple(row) for row in transitions),
-        colours=tuple(colour_of(s, spec) for s in order),
-        states=tuple(order),
+        transitions=transitions,
+        colours=tuple(colour_of(state, spec) for state in states),
+        states=tuple(states),
         spec=spec,
     )
 
@@ -286,7 +291,7 @@ def build_product(
 def product_to_automaton(pa: ParityAutomaton) -> OmegaAutomaton:
     """View of the product as a plain parity automaton (five colour sets)."""
     return automaton_from_letter_table(
-        [list(row) for row in pa.transitions],
+        pa.transitions.tolist(),
         pa.initial,
         Parity(pa.colours, 5),
         pa.table,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .automata import Buchi, CoBuchi, OmegaAutomaton, OnePairRabin, Safety
 from .boolexpr import ApTable
 from .game import SynthesisGame
@@ -140,9 +142,9 @@ def random_game(
     names = tuple(f"i{k}" for k in range(input_bits)) + tuple(
         f"o{k}" for k in range(output_bits))
     n_letters = 1 << (input_bits + output_bits)
-    transitions = tuple(
-        tuple(rng.randrange(n_states) for _ in range(n_letters))
-        for _ in range(n_states))
+    transitions = np.array(
+        [[rng.randrange(n_states) for _ in range(n_letters)]
+         for _ in range(n_states)], dtype=np.int32)
     colours = tuple(rng.randrange(max_colour + 1) for _ in range(n_states))
     return SynthesisGame(
         table=ApTable(names),

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .game import ENVIRONMENT, SYSTEM, SynthesisGame
 from .graphs import find_max_colour_cycle
 
@@ -44,19 +46,39 @@ class StrategyCounterexample:
 
 
 class _Arena:
-    """Explicit adjacency built once per solve; predecessor lists included."""
+    """Adjacency lists built once per solve from the game's arrays.
+
+    ``succ[v]`` lists the move targets of vertex ``v`` indexed by move letter
+    (input letters at Environment vertices, output letters at System
+    vertices).  ``pred[v]`` lists the source of every edge into ``v``, once
+    per edge, by source vertex and then letter.  ``owner`` and ``colour``
+    are per-vertex lists; all entries are Python ints.
+    """
 
     def __init__(self, game: SynthesisGame):
-        n = game.n_vertices
-        self.n = n
-        self.owner = [game.owner(v) for v in range(n)]
-        self.colour = [game.colour(v) for v in range(n)]
-        self.succ = [game.moves(v) for v in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            for _, t in self.succ[v]:
-                pred[t].append(v)
-        self.pred = pred
+        env_succ, sys_succ = game.successor_tables()
+        n_env = len(env_succ)
+        self.n = n = n_env + len(sys_succ)
+        self.owner = [ENVIRONMENT] * n_env + [SYSTEM] * (n - n_env)
+        self.colour = list(game.state_colours) + [0] * (n - n_env)
+        # one int object per vertex, shared by every list: fresh ints from
+        # tolist() raised the peak memory of the 3-client arbiters by ~40 MB
+        ids = list(range(n))
+
+        def split(vertices: np.ndarray, counts: np.ndarray) -> list[list[int]]:
+            flat = list(map(ids.__getitem__, vertices.tolist()))
+            ends = counts.cumsum().tolist()
+            return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+        # edges in (source, letter) order; the stable sort by target keeps
+        # that order inside every predecessor list
+        targets = np.concatenate([env_succ.ravel(), sys_succ.ravel()])
+        out_degree = np.repeat(
+            [env_succ.shape[1], sys_succ.shape[1]], [n_env, n - n_env])
+        self.succ = split(targets, out_degree)
+        sources = np.repeat(np.arange(n), out_degree)
+        self.pred = split(sources[np.argsort(targets, kind="stable")],
+                          np.bincount(targets, minlength=n))
 
 
 def _attract(
@@ -64,14 +86,14 @@ def _attract(
     mask: bytearray,
     targets: list[int],
     player: int,
-) -> tuple[set[int], dict[int, tuple[int, int]]]:
+) -> tuple[set[int], dict[int, int]]:
     """Vertices from which ``player`` can force a visit to ``targets``.
 
     Also returns, for the player's newly attracted vertices, the first move
-    (in letter order) that makes progress towards the targets.
+    letter that makes progress towards the targets.
     """
     attr = set(targets)
-    strategy: dict[int, tuple[int, int]] = {}
+    strategy: dict[int, int] = {}
     queue = deque(targets)
     remaining: dict[int, int] = {}
     while queue:
@@ -80,16 +102,16 @@ def _attract(
             if not mask[u] or u in attr:
                 continue
             if arena.owner[u] == player:
-                for label, t in arena.succ[u]:
+                for label, t in enumerate(arena.succ[u]):
                     if mask[t] and t in attr:
-                        strategy[u] = (label, t)
+                        strategy[u] = label
                         break
                 attr.add(u)
                 queue.append(u)
             else:
                 count = remaining.get(u)
                 if count is None:
-                    count = sum(1 for _, t in arena.succ[u] if mask[t])
+                    count = sum(1 for t in arena.succ[u] if mask[t])
                 count -= 1
                 remaining[u] = count
                 if count == 0:
@@ -102,69 +124,57 @@ def _solve(
     arena: _Arena,
     mask: bytearray,
     n_active: int,
-) -> tuple[set[int], set[int], dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+) -> tuple[list[set[int]], list[dict[int, int]]]:
+    """Winning regions and strategies of the active subgame, indexed by player."""
     if n_active == 0:
-        return set(), set(), {}, {}
+        return [set(), set()], [{}, {}]
     top_colour = max(arena.colour[v] for v in range(arena.n) if mask[v])
     winner = SYSTEM if top_colour % 2 == 0 else ENVIRONMENT
+    opponent = ENVIRONMENT if winner == SYSTEM else SYSTEM
     top = [v for v in range(arena.n) if mask[v] and arena.colour[v] == top_colour]
 
     attr, attr_strategy = _attract(arena, mask, top, winner)
     submask = bytearray(mask)
     for v in attr:
         submask[v] = 0
-    sys_win, env_win, sys_strat, env_strat = _solve(
-        arena, submask, n_active - len(attr))
-    if winner == SYSTEM:
-        opponent_region, opponent_strat = env_win, env_strat
-        winner_strat = sys_strat
-    else:
-        opponent_region, opponent_strat = sys_win, sys_strat
-        winner_strat = env_strat
+    wins, strategies = _solve(arena, submask, n_active - len(attr))
 
-    if not opponent_region:
+    if not wins[opponent]:
         # the whole remaining game belongs to the owner of the top colour
-        strategy = dict(winner_strat)
+        strategy = strategies[winner]
         strategy.update(attr_strategy)
         for v in top:
             if arena.owner[v] == winner and v not in strategy:
-                for label, t in arena.succ[v]:
+                for label, t in enumerate(arena.succ[v]):
                     if mask[t]:
-                        strategy[v] = (label, t)
+                        strategy[v] = label
                         break
-        everything = {v for v in range(arena.n) if mask[v]}
-        if winner == SYSTEM:
-            return everything, set(), strategy, {}
-        return set(), everything, {}, strategy
+        wins[winner] = {v for v in range(arena.n) if mask[v]}
+        return wins, strategies
 
-    opponent = ENVIRONMENT if winner == SYSTEM else SYSTEM
     escape, escape_strategy = _attract(
-        arena, mask, sorted(opponent_region), opponent)
-    submask2 = bytearray(mask)
+        arena, mask, sorted(wins[opponent]), opponent)
+    opponent_strategy = strategies[opponent]
+    opponent_strategy.update(escape_strategy)
+    submask = bytearray(mask)
     for v in escape:
-        submask2[v] = 0
-    sys_win2, env_win2, sys_strat2, env_strat2 = _solve(
-        arena, submask2, n_active - len(escape))
-
-    opponent_total = dict(opponent_strat)
-    opponent_total.update(escape_strategy)
-    if opponent == SYSTEM:
-        opponent_total.update(sys_strat2)
-        return (sys_win2 | escape, env_win2, opponent_total, env_strat2)
-    opponent_total.update(env_strat2)
-    return (sys_win2, env_win2 | escape, sys_strat2, opponent_total)
+        submask[v] = 0
+    wins, strategies = _solve(arena, submask, n_active - len(escape))
+    opponent_strategy.update(strategies[opponent])
+    wins[opponent] |= escape
+    strategies[opponent] = opponent_strategy
+    return wins, strategies
 
 
 def solve_zielonka(game: SynthesisGame) -> Solution:
     """Exact winning regions and positional strategies for both players."""
     arena = _Arena(game)
-    mask = bytearray([1]) * arena.n
-    sys_win, env_win, sys_strat, env_strat = _solve(arena, mask, arena.n)
+    wins, strategies = _solve(arena, bytearray([1]) * arena.n, arena.n)
     return Solution(
-        system_region=frozenset(sys_win),
-        env_region=frozenset(env_win),
-        system_strategy={v: label for v, (label, _) in sorted(sys_strat.items())},
-        env_strategy={v: label for v, (label, _) in sorted(env_strat.items())},
+        system_region=frozenset(wins[SYSTEM]),
+        env_region=frozenset(wins[ENVIRONMENT]),
+        system_strategy=dict(sorted(strategies[SYSTEM].items())),
+        env_strategy=dict(sorted(strategies[ENVIRONMENT].items())),
     )
 
 
@@ -180,10 +190,8 @@ def solve_progress_measures(game: SynthesisGame) -> frozenset[int]:
     n = arena.n
     if any(c > 4 or c < 0 for c in arena.colour):
         raise ValueError("colours must lie in 0..4")
-    count1 = sum(1 for c in arena.colour if c == 1)
-    count3 = sum(1 for c in arena.colour if c == 3)
-    radix1 = count1 + 1
-    radix3 = count3 + 1
+    radix1 = arena.colour.count(1) + 1
+    radix3 = arena.colour.count(3) + 1
     space = radix1 * radix3
     top = space
 
@@ -210,9 +218,9 @@ def solve_progress_measures(game: SynthesisGame) -> frozenset[int]:
         queued[v] = False
         p = arena.colour[v]
         if arena.owner[v] == SYSTEM:
-            best = min(progress(p, rho[t]) for _, t in arena.succ[v])
+            best = min(progress(p, rho[t]) for t in arena.succ[v])
         else:
-            best = max(progress(p, rho[t]) for _, t in arena.succ[v])
+            best = max(progress(p, rho[t]) for t in arena.succ[v])
         if best > rho[v]:
             rho[v] = best
             for u in arena.pred[v]:
@@ -235,41 +243,31 @@ def certify_strategy(
     (wrong strategy domain, choices leaving the owning region) raise
     :class:`ShapeError`.
     """
-    n = game.n_vertices
-    vertices = frozenset(range(n))
-    if solution.system_region | solution.env_region != vertices:
+    arena = _Arena(game)
+    if solution.system_region | solution.env_region != frozenset(range(arena.n)):
         raise ShapeError("regions do not cover the game")
     if solution.system_region & solution.env_region:
         raise ShapeError("regions overlap")
 
-    expected_sys = {v for v in solution.system_region if game.owner(v) == SYSTEM}
-    if set(solution.system_strategy) != expected_sys:
-        raise ShapeError("system strategy domain must be its winning System vertices")
-    expected_env = {v for v in solution.env_region if game.owner(v) == ENVIRONMENT}
-    if set(solution.env_strategy) != expected_env:
-        raise ShapeError(
-            "environment strategy domain must be its winning Environment vertices")
-    for v, letter in solution.system_strategy.items():
-        if game.system_move(v, letter) not in solution.system_region:
-            raise ShapeError(f"system strategy leaves its region at vertex {v}")
-    for v, letter in solution.env_strategy.items():
-        if game.env_move(v, letter) not in solution.env_region:
-            raise ShapeError(f"environment strategy leaves its region at vertex {v}")
+    claims = (
+        ("system", SYSTEM, solution.system_region, solution.system_strategy, 1),
+        ("environment", ENVIRONMENT, solution.env_region, solution.env_strategy, 0),
+    )
+    for claim, player, region, strategy, _ in claims:
+        if set(strategy) != {v for v in region if arena.owner[v] == player}:
+            raise ShapeError(f"{claim} strategy domain must be its winning "
+                             f"{claim.capitalize()} vertices")
+    for claim, _, region, strategy, _ in claims:
+        for v, letter in strategy.items():
+            moves = arena.succ[v]
+            if not 0 <= letter < len(moves) or moves[letter] not in region:
+                raise ShapeError(f"{claim} strategy leaves its region at vertex {v}")
 
-    for claim, region, bad_parity in (
-        ("system", solution.system_region, 1),
-        ("environment", solution.env_region, 0),
-    ):
-        if claim == "system":
-            def restricted(v: int) -> list[int]:
-                if game.owner(v) == SYSTEM:
-                    return [game.system_move(v, solution.system_strategy[v])]
-                return [t for _, t in game.moves(v)]
-        else:
-            def restricted(v: int) -> list[int]:
-                if game.owner(v) == ENVIRONMENT:
-                    return [game.env_move(v, solution.env_strategy[v])]
-                return [t for _, t in game.moves(v)]
+    for claim, player, region, strategy, bad_parity in claims:
+        def restricted(v: int) -> list[int]:
+            if arena.owner[v] == player:
+                return [arena.succ[v][strategy[v]]]
+            return arena.succ[v]
 
         for v in sorted(region):
             for t in restricted(v):
@@ -278,7 +276,8 @@ def certify_strategy(
                         claim, (v, t), "region is not closed under the opponent")
 
         found = find_max_colour_cycle(
-            sorted(region), restricted, game.colour, range(bad_parity, 5, 2))
+            sorted(region), restricted, arena.colour.__getitem__,
+            range(bad_parity, 5, 2))
         if found is not None:
             d, cycle = found
             return StrategyCounterexample(

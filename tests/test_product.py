@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rabinsynth.automata import eval_lasso
@@ -14,7 +15,8 @@ from rabinsynth.product import (
     control_successor,
     raw_product_bound,
 )
-from rabinsynth.pipeline import product_accepts
+from rabinsynth.pipeline import (
+    ConjunctSource, SpecProblem, normalize_problem, product_accepts)
 from rabinsynth.rand import random_normalized_spec
 
 from helpers import all_lassos
@@ -168,7 +170,7 @@ class TestBuildProduct:
     def test_rebuild_is_identical(self):
         a = build_product(gf_spec())
         b = build_product(gf_spec())
-        assert a.transitions == b.transitions
+        assert np.array_equal(a.transitions, b.transitions)
         assert a.colours == b.colours
         assert a.states == b.states
 
@@ -181,5 +183,37 @@ class TestBuildProduct:
         with ThreadPoolExecutor(max_workers=4) as pool:
             concurrent = list(pool.map(build_product, specs))
         for a, b in zip(sequential, concurrent):
-            assert a.transitions == b.transitions
+            assert np.array_equal(a.transitions, b.transitions)
             assert a.colours == b.colours
+
+    def test_transitions_are_one_read_only_array(self):
+        pa = build_product(gf_spec())
+        assert pa.transitions.shape == (pa.n_states, pa.table.n_letters)
+        with pytest.raises(ValueError):
+            pa.transitions[0, 0] = 0
+
+    def test_states_are_numbered_in_discovery_order(self):
+        # reading the array row-major, every new state id is the next one;
+        # the first spec is the 2-client arbiter
+        problem = SpecProblem(
+            ("r0", "r1"), ("g0", "g1"),
+            tuple(ConjunctSource(ltl=f) for f in ("G F !r0", "G F !r1")),
+            tuple(ConjunctSource(ltl=f) for f in (
+                "G (r0 -> F g0)", "G (r1 -> F g1)", "G !(g0 & g1)",
+                "F G (!r0 | !r1 | g0 | g1)")))
+        rng = random.Random(2024)
+        specs = [normalize_problem(problem)]
+        specs += [random_normalized_spec(rng) for _ in range(50)]
+        for spec in specs:
+            pa = build_product(spec)
+            first_seen = list(dict.fromkeys([0] + pa.transitions.ravel().tolist()))
+            assert first_seen == list(range(pa.n_states))
+
+    def test_bound_beyond_int64_is_refused(self):
+        # state keys are int64, so even an unlimited build stops at 2**63
+        table = ApTable(("g",))
+        guarantee = compile_pattern(Persistence(Var("g")), table)
+        spec = NormalizedSpec((), ("g",), (), (), (), (guarantee,) * 64)
+        assert raw_product_bound(spec) >= 2 ** 63
+        with pytest.raises(CapacityExceeded):
+            build_product(spec, state_limit=2 ** 70)

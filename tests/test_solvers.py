@@ -108,6 +108,16 @@ class TestCertify:
                 solution.system_region, solution.env_region,
                 too_small, solution.env_strategy))
 
+    def test_out_of_range_letter_is_a_shape_error(self):
+        game, solution = self.game_and_solution()
+        for bad_letter in (-1, game.n_outputs):
+            strategy = dict(solution.system_strategy)
+            strategy[next(iter(strategy))] = bad_letter
+            with pytest.raises(ShapeError):
+                certify_strategy(game, Solution(
+                    solution.system_region, solution.env_region,
+                    strategy, solution.env_strategy))
+
     def test_overlapping_regions_are_a_shape_error(self):
         game, solution = self.game_and_solution()
         with pytest.raises(ShapeError):
