@@ -19,6 +19,10 @@ from rabinsynth.rand import random_game, random_normalized_spec
 from rabinsynth.solvers import certify_strategy, solve_progress_measures, solve_zielonka
 
 
+#: Games of up to 400 states, where attractors run many levels deep.
+LARGE_GAMES = (40, 400)
+
+
 def run_differential(args) -> int:
     rng = random.Random(args.seed)
     mismatching = 0
@@ -38,21 +42,26 @@ def run_differential(args) -> int:
 
 
 def run_solver_cross_check(args) -> int:
+    """Zielonka against progress measures, plus certification, on a batch of
+    small games and a batch of larger ones, where attractors run more levels."""
     rng = random.Random(args.seed + 1)
+    batches = [(args.games, args.max_game_states), LARGE_GAMES]
     disagreements = 0
     started = time.perf_counter()
-    for i in range(args.games):
-        game = random_game(rng, max_states=args.max_game_states)
-        solution = solve_zielonka(game)
-        if solve_progress_measures(game) != solution.system_region:
-            disagreements += 1
-            print(f"  game {i}: winning regions disagree")
-        elif certify_strategy(game, solution) is not None:
-            disagreements += 1
-            print(f"  game {i}: certification failed")
+    for count, max_states in batches:
+        for i in range(count):
+            game = random_game(rng, max_states=max_states)
+            solution = solve_zielonka(game)
+            if solve_progress_measures(game) != solution.system_region:
+                disagreements += 1
+                print(f"  game {i} (<= {max_states} states): winning regions disagree")
+            elif certify_strategy(game, solution) is not None:
+                disagreements += 1
+                print(f"  game {i} (<= {max_states} states): certification failed")
     elapsed = time.perf_counter() - started
-    print(f"solvers: {args.games} games, {disagreements} disagreements, "
-          f"{elapsed:.2f}s")
+    sizes = " + ".join(f"{count} games of <= {max_states} states"
+                       for count, max_states in batches)
+    print(f"solvers: {sizes}, {disagreements} disagreements, {elapsed:.2f}s")
     return disagreements
 
 

@@ -165,15 +165,26 @@ def validate(aut: OmegaAutomaton, table: ApTable) -> list[ValidationIssue]:
 
     Returns the empty list iff the automaton is usable with ``table``.
     """
+    try:
+        transition_table(aut, table)
+    except ValidationError as exc:
+        return exc.issues
+    return []
+
+
+def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
+    """Dense ``state x letter -> target`` table; every guard is evaluated
+    once per (state, letter).  Raises :class:`ValidationError` with every
+    issue :func:`validate` reports."""
     issues: list[ValidationIssue] = []
     n = aut.n_states
     if n <= 0:
-        return [RangeError("automaton must have at least one state")]
+        raise ValidationError([RangeError("automaton must have at least one state")])
     if not 0 <= aut.initial < n:
         issues.append(RangeError(f"initial state {aut.initial} out of range"))
     if len(aut.edges) != n:
-        return issues + [RangeError(
-            f"expected {n} edge lists, found {len(aut.edges)}")]
+        raise ValidationError(issues + [RangeError(
+            f"expected {n} edge lists, found {len(aut.edges)}")])
     for s, state_edges in enumerate(aut.edges):
         for _, target in state_edges:
             if not 0 <= target < n:
@@ -190,16 +201,19 @@ def validate(aut: OmegaAutomaton, table: ApTable) -> list[ValidationIssue]:
                 if not 0 <= c < aut.acceptance.n_colours:
                     issues.append(RangeError(f"colour {c} of state {s} out of range"))
     if issues:
-        return issues
-    for s in range(n):
+        raise ValidationError(issues)
+    rows = []
+    for s, state_edges in enumerate(aut.edges):
+        row = []
         for letter in table.letters():
-            matches = sum(
-                1 for guard, _ in aut.edges[s] if evaluate(guard, letter, table))
-            if matches == 0:
-                issues.append(MissingEdge(s, letter))
-            elif matches > 1:
-                issues.append(NondeterministicEdge(s, letter))
-    return issues
+            targets = [t for guard, t in state_edges if evaluate(guard, letter, table)]
+            if len(targets) != 1:
+                issues.append((NondeterministicEdge if targets else MissingEdge)(s, letter))
+            row.append(targets[0] if targets else -1)
+        rows.append(row)
+    if issues:
+        raise ValidationError(issues)
+    return rows
 
 
 def step(aut: OmegaAutomaton, state: int, letter: int, table: ApTable) -> int:
@@ -208,14 +222,6 @@ def step(aut: OmegaAutomaton, state: int, letter: int, table: ApTable) -> int:
         if evaluate(guard, letter, table):
             return target
     raise ValidationError([MissingEdge(state, letter)])
-
-
-def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
-    """Dense ``state x letter -> target`` table; raises on missing edges."""
-    return [
-        [step(aut, s, letter, table) for letter in table.letters()]
-        for s in range(aut.n_states)
-    ]
 
 
 def infinity_set(

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for realizable / verified / clean differential, 1 for the
-negative verdicts, 2 for any usage, parse or validation problem.  Diagnostics
-go to stderr; machine-readable output appears on stdout only under ``--json``.
+negative verdicts, 2 for any usage, parse or validation problem, 3 for an
+internal fault.  Diagnostics go to stderr; machine-readable output appears on
+stdout only under ``--json``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .hoa import emit_hoa
 from .mealy import machine_from_json, machine_to_dict, machine_to_dot, machine_to_json
 from .pipeline import (
     ConjunctSource,
+    InternalCertificationFailure,
     Realizable,
     SpecProblem,
     differential_test,
@@ -249,6 +251,9 @@ def run(argv=None) -> int:
         return args.handler(args)
     except KeyboardInterrupt:
         raise
+    except (InternalCertificationFailure, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - single translation point to exit codes
         print(f"error: {exc}", file=sys.stderr)
         return 2

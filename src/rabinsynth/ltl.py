@@ -29,7 +29,7 @@ from .automata import (
     OnePairRabin,
     Safety,
     decompose_rabin,
-    transition_table,
+    step,
 )
 from .boolexpr import (
     And,
@@ -405,9 +405,9 @@ def failure_sinks(aut: OmegaAutomaton, table: ApTable) -> frozenset[int]:
     automaton whose absorbing states mean something else has to be supplied
     with an explicit Buchi acceptance instead.
     """
-    tt = transition_table(aut, table)
-    return frozenset(
-        s for s in range(aut.n_states) if all(t == s for t in tt[s]))
+    rows = ([step(aut, s, letter, table) for letter in table.letters()]
+            for s in range(aut.n_states))
+    return frozenset(s for s, row in enumerate(rows) if all(t == s for t in row))
 
 
 def normalize(aut: OmegaAutomaton, role: Role, table: ApTable) -> list[ClassifiedConjunct]:

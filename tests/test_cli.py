@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rabinsynth import pipeline
+from rabinsynth.automata import Lasso
 from rabinsynth.cli import load_spec_problem, run
 from rabinsynth.hoa import parse_hoa
 from rabinsynth.mealy import machine_from_json
@@ -130,6 +132,16 @@ class TestOracleTest:
         assert run(["oracle-test", corpus("robust_mutex.json")]) == 2
         assert run(["oracle-test", corpus("robust_mutex.json"),
                     "--max-aps", "4", "--max-loop", "2"]) == 0
+
+
+class TestInternalFaults:
+    def test_failed_model_check_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "verify_mealy",
+                            lambda machine, pa: pipeline.Violation(Lasso((), (0,))))
+        assert run(["synth", "--json", corpus("arbiter.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: InternalCertificationFailure")
 
 
 class TestSpecLoading:

@@ -3,7 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from rabinsynth.automata import eval_lasso
+from rabinsynth.automata import (
+    Buchi,
+    MissingEdge,
+    NondeterministicEdge,
+    OmegaAutomaton,
+    ValidationError,
+    eval_lasso,
+    validate,
+)
 from rabinsynth.boolexpr import ApTable, Var
 from rabinsynth.ltl import Persistence, Recurrence, compile_pattern, parse_ltl
 from rabinsynth.product import (
@@ -15,11 +23,10 @@ from rabinsynth.product import (
     control_successor,
     raw_product_bound,
 )
-from rabinsynth.pipeline import (
-    ConjunctSource, SpecProblem, normalize_problem, product_accepts)
+from rabinsynth.pipeline import normalize_problem, product_accepts
 from rabinsynth.rand import random_normalized_spec
 
-from helpers import all_lassos
+from helpers import all_lassos, arbiter_problem
 
 
 def gf_spec():
@@ -195,14 +202,8 @@ class TestBuildProduct:
     def test_states_are_numbered_in_discovery_order(self):
         # reading the array row-major, every new state id is the next one;
         # the first spec is the 2-client arbiter
-        problem = SpecProblem(
-            ("r0", "r1"), ("g0", "g1"),
-            tuple(ConjunctSource(ltl=f) for f in ("G F !r0", "G F !r1")),
-            tuple(ConjunctSource(ltl=f) for f in (
-                "G (r0 -> F g0)", "G (r1 -> F g1)", "G !(g0 & g1)",
-                "F G (!r0 | !r1 | g0 | g1)")))
         rng = random.Random(2024)
-        specs = [normalize_problem(problem)]
+        specs = [normalize_problem(arbiter_problem(2))]
         specs += [random_normalized_spec(rng) for _ in range(50)]
         for spec in specs:
             pa = build_product(spec)
@@ -217,3 +218,15 @@ class TestBuildProduct:
         assert raw_product_bound(spec) >= 2 ** 63
         with pytest.raises(CapacityExceeded):
             build_product(spec, state_limit=2 ** 70)
+
+    def test_invalid_component_raises_the_issues_of_validate(self):
+        # no edge on !r & !g (letter 0), two edges on r & g (letter 3)
+        table = ApTable(("r", "g"))
+        broken = OmegaAutomaton(
+            1, 0, (((Var("r"), 0), (Var("g"), 0)),), Buchi(frozenset({0})))
+        issues = validate(broken, table)
+        assert issues == [MissingEdge(0, 0), NondeterministicEdge(0, 3)]
+        spec = NormalizedSpec(("r",), ("g",), (), (), (broken,), ())
+        with pytest.raises(ValidationError) as raised:
+            build_product(spec)
+        assert raised.value.issues == issues

@@ -1,9 +1,14 @@
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rabinsynth.boolexpr import ApTable
-from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame
+from rabinsynth.cli import load_spec_problem
+from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
+from rabinsynth.pipeline import normalize_problem
+from rabinsynth.product import build_product
 from rabinsynth.rand import random_game
 from rabinsynth.solvers import (
     ShapeError,
@@ -13,6 +18,9 @@ from rabinsynth.solvers import (
     solve_zielonka,
 )
 
+from helpers import arbiter_problem, reference_zielonka
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE = ApTable(("r", "g"))
 
 
@@ -66,6 +74,31 @@ class TestRandomDifferential:
             s1 = solve_zielonka(g1)
             s2 = solve_zielonka(g2)
             assert s1 == s2
+
+
+class TestReferenceIdentity:
+    """The array solver must return exactly the FIFO list solver's solution:
+    regions and both strategies."""
+
+    def test_random_games(self):
+        rng = random.Random(20_261_018)
+        sizes = (2, 5, 20, 60, 150, 400)
+        multi_edge_games = 0
+        for i in range(600):
+            game = random_game(rng, max_states=sizes[i % len(sizes)])
+            moves = np.sort(game.successor_tables()[1], axis=1)
+            multi_edge_games += bool((moves[:, 1:] == moves[:, :-1]).any())
+            assert solve_zielonka(game) == reference_zielonka(game), i
+        assert multi_edge_games > 300
+
+    def test_corpus_and_arbiter_games(self):
+        problems = [load_spec_problem(path) for path in sorted(CORPUS.glob("*.json"))
+                    if not path.name.endswith(".expected.json")]
+        problems += [arbiter_problem(2), arbiter_problem(2, unrealizable=True)]
+        for problem in problems:
+            spec = normalize_problem(problem)
+            game = build_game(build_product(spec), spec.inputs, spec.outputs)
+            assert solve_zielonka(game) == reference_zielonka(game), problem
 
 
 class TestCertify:
