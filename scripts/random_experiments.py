@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Seeded randomized experiments: differential oracle runs and solver
-cross-checks on freshly generated instances.
+"""Seeded randomized experiments: differential oracle runs, a sampled lasso
+differential on the 3- and 4-client arbiters, and solver cross-checks on
+freshly generated instances.
 
 Examples:
     python scripts/random_experiments.py --specs 200 --games 500 --seed 7
@@ -13,20 +14,29 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from rabinsynth.pipeline import differential_test
+from rabinsynth.pipeline import differential_test, normalize_problem
+from rabinsynth.product import ASSUMPTION_DEAD, GUARANTEE_DEAD, LIVE, build_product
 from rabinsynth.rand import random_game, random_normalized_spec
 from rabinsynth.solvers import certify_strategy, solve_progress_measures, solve_zielonka
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import arbiter_problem, random_lassos, sampled_differential  # noqa: E402
 
 
 #: Games of up to 400 states, where attractors run many levels deep.
 LARGE_GAMES = (40, 400)
+
+#: (clients, unrealizable variant) of the arbiters the sampled lassos run on.
+ARBITERS = ((3, False), (3, True), (4, False))
 
 
 def run_differential(args) -> int:
     rng = random.Random(args.seed)
     mismatching = 0
     checked = 0
+    reached = {GUARANTEE_DEAD: 0, ASSUMPTION_DEAD: 0}
     started = time.perf_counter()
     for i in range(args.specs):
         spec = random_normalized_spec(rng)
@@ -35,10 +45,40 @@ def run_differential(args) -> int:
         if report.mismatches:
             mismatching += 1
             print(f"  spec {i}: {report.mismatches} mismatches")
+        regions = {state.region for state in build_product(spec).states}
+        for region in reached:
+            reached[region] += region in regions
     elapsed = time.perf_counter() - started
     print(f"differential: {args.specs} specs, {checked} lassos, "
-          f"{mismatching} bad specs, {elapsed:.2f}s")
+          f"{mismatching} bad specs; {reached[GUARANTEE_DEAD]} specs reach the "
+          f"guarantee-dead region, {reached[ASSUMPTION_DEAD]} the assumption "
+          f"sink; {elapsed:.2f}s")
     return mismatching
+
+
+def run_arbiter_lassos(args) -> int:
+    """Product against the conjunct oracle on seeded random lassos over the
+    3-client arbiter, its unrealizable variant and the 4-client arbiter."""
+    rng = random.Random(args.seed + 2)
+    disagreements = 0
+    ends = {LIVE: 0, GUARANTEE_DEAD: 0}
+    started = time.perf_counter()
+    for n, unrealizable in ARBITERS:
+        spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
+        pa = build_product(spec)
+        lassos = random_lassos(rng, pa.table.n_letters, args.arbiter_lassos)
+        mismatches, arbiter_ends = sampled_differential(spec, pa, lassos)
+        if mismatches:
+            print(f"  {n}-client arbiter (unrealizable={unrealizable}): "
+                  f"{mismatches} disagreements")
+        disagreements += mismatches
+        for region in ends:
+            ends[region] += arbiter_ends[region]
+    elapsed = time.perf_counter() - started
+    print(f"arbiter lassos: {len(ARBITERS)} arbiters x {args.arbiter_lassos} "
+          f"lassos, {disagreements} disagreements; {ends[GUARANTEE_DEAD]} end in "
+          f"the guarantee-dead region, {ends[LIVE]} in the live one; {elapsed:.2f}s")
+    return disagreements
 
 
 def run_solver_cross_check(args) -> int:
@@ -73,8 +113,10 @@ def main() -> int:
     parser.add_argument("--max-stem", type=int, default=2)
     parser.add_argument("--max-loop", type=int, default=3)
     parser.add_argument("--max-game-states", type=int, default=50)
+    parser.add_argument("--arbiter-lassos", type=int, default=2000)
     args = parser.parse_args()
-    bad = run_differential(args) + run_solver_cross_check(args)
+    bad = (run_differential(args) + run_arbiter_lassos(args)
+           + run_solver_cross_check(args))
     return 1 if bad else 0
 
 

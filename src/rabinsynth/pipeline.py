@@ -303,7 +303,9 @@ def differential_test(
     Verdicts are computed for all stems and loops simultaneously: one bit
     signature per product state records its colour and the acceptance-set
     memberships of every conjunct component, and pointer doubling aggregates
-    those signatures over the repeating cycle of each loop word.
+    those signatures over the repeating cycle of each loop word.  In a
+    collapsed product state every conjunct it no longer tracks reads as
+    failing: one of them has failed for good, so the verdict is the same.
     """
     if len(spec.inputs) + len(spec.outputs) > max_aps:
         raise CapacityExceeded(
@@ -329,8 +331,9 @@ def differential_test(
     signature = np.zeros(n, dtype=np.int64)
     for s, pstate in enumerate(pa.states):
         bits = 1 << pa.colours[s]
-        for j, (_, _, marked) in enumerate(conjuncts):
-            if pstate.components[j] in marked:
+        tracked = pstate.components  # all, the assumptions only, or none
+        for j, (_, is_buchi, marked) in enumerate(conjuncts):
+            if (tracked[j] in marked) if j < len(tracked) else not is_buchi:
                 bits |= 1 << (5 + j)
         signature[s] = bits
 

@@ -7,12 +7,24 @@ recently serviced.  Colouring the resulting states with at most five colours
 (0..4) turns implication-shaped specifications into a deterministic parity
 automaton: a word is accepted exactly when some assumption conjunct rejects it
 or every guarantee conjunct accepts it.
+
+Two reductions keep the product small.  Once a component enters a losing
+absorbing sink (a non-accepting one of a Buchi conjunct, a rejecting one of a
+co-Buchi conjunct), its conjunct has failed for good.  A failed guarantee
+leaves the verdict to the assumptions, so the play moves to the
+guarantee-dead region, which tracks only the assumption components and the
+assumption counter and is coloured from them.  A failed assumption means the
+System has won, so the play moves to one absorbing state of colour 0; it wins
+over a failed guarantee.  And a Buchi conjunct that accepts in every state
+outside its losing sinks, as every normalised safety conjunct does, takes no
+slot in its round-robin counter: alive, it accepts at every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -110,13 +122,49 @@ def validate_normalized(spec: NormalizedSpec) -> tuple[ApTable, list[list[list[i
     return table, [transition_table(aut, table) for aut in spec.components]
 
 
+#: ``ProductState.region`` values.
+LIVE = 0             # every component is tracked
+GUARANTEE_DEAD = 1   # a guarantee has lost for good: the assumptions decide
+ASSUMPTION_DEAD = 2  # an assumption has lost for good: the System has won
+
+
 class ProductState(NamedTuple):
-    """One product state: component states plus the control structure."""
+    """One product state: the components it still tracks plus the control
+    structure.
+
+    A ``LIVE`` state tracks every component, both counters and the flag.  A
+    ``GUARANTEE_DEAD`` state tracks the assumption components and the
+    assumption counter only; its guarantee counter reads 0 and its flag False.
+    The one ``ASSUMPTION_DEAD`` state tracks nothing.
+    """
 
     components: tuple[int, ...]
-    awaiting_assumption: int     # 0..n_buchi_assumptions, 0 = free increment slot
-    awaiting_guarantee: int      # 0..n_buchi_guarantees
+    awaiting_assumption: int     # 0..counted Buchi assumptions, 0 = free increment slot
+    awaiting_guarantee: int      # 0..counted Buchi guarantees
     assumptions_serviced: bool
+    region: int = LIVE
+
+
+def _losing_sinks(aut: OmegaAutomaton, rows: Sequence[Sequence[int]]) -> frozenset[int]:
+    """Absorbing states in which a conjunct has lost for good: the
+    non-accepting ones of a Buchi conjunct, the rejecting ones of a co-Buchi
+    conjunct.  ``rows`` is the automaton's dense transition table."""
+    acc = aut.acceptance
+    return frozenset(
+        s for s, row in enumerate(rows)
+        if all(t == s for t in row)
+        and (s in acc.rejecting if isinstance(acc, CoBuchi) else s not in acc.accepting))
+
+
+def _takes_counter_slot(aut: OmegaAutomaton, sinks: frozenset[int]) -> bool:
+    """Whether a Buchi conjunct needs a slot in its round-robin counter.
+
+    It does not when every state outside its losing sinks is accepting, as in
+    every normalised safety conjunct: alive, it accepts at every step; dead,
+    it has sent the play to a collapsed region.
+    """
+    accepting = aut.acceptance.accepting
+    return any(s not in accepting and s not in sinks for s in range(aut.n_states))
 
 
 def control_successor(
@@ -129,11 +177,11 @@ def control_successor(
 ) -> tuple[int, int, bool]:
     """Advance the control structure by one step.
 
-    The flag vectors describe the *source* state's components: per Buchi
-    assumption and per Buchi guarantee whether the component state is
-    accepting, and per co-Buchi guarantee whether it is rejecting.  Counter
-    value ``i > 0`` waits for the i-th (1-based) component; the serviced flag
-    reads the already-updated assumption counter.
+    The flag vectors describe the *source* state's components: per counted
+    Buchi assumption and per counted Buchi guarantee whether the component
+    state is accepting, and per co-Buchi guarantee whether it is rejecting.
+    Counter value ``i > 0`` waits for the i-th (1-based) counted component;
+    the serviced flag reads the already-updated assumption counter.
     """
     n1 = len(assumption_accepting)
     n3 = len(guarantee_accepting)
@@ -158,21 +206,26 @@ def colour_of(state: ProductState, spec: NormalizedSpec) -> int:
     2: the guarantee counter sits on its free slot;
     1: the assumption counter sits on its free slot;
     0: otherwise.
+
+    A guarantee-dead state, where some guarantee has already failed, follows
+    the assumption rules 4, 1 and 0 only; the assumption-dead state, where
+    some assumption has, is coloured 0.
     """
+    if state.region == ASSUMPTION_DEAD:
+        return 0
     n1 = spec.n_buchi_assumptions
-    n2 = spec.n_cobuchi_assumptions
-    n3 = spec.n_buchi_guarantees
     comps = state.components
     for j, aut in enumerate(spec.cobuchi_assumptions):
         if comps[n1 + j] in aut.acceptance.rejecting:
             return 4
-    if state.assumptions_serviced:
-        base = n1 + n2 + n3
-        for j, aut in enumerate(spec.cobuchi_guarantees):
-            if comps[base + j] in aut.acceptance.rejecting:
-                return 3
-    if state.awaiting_guarantee == 0:
-        return 2
+    if state.region == LIVE:
+        if state.assumptions_serviced:
+            base = n1 + spec.n_cobuchi_assumptions + spec.n_buchi_guarantees
+            for j, aut in enumerate(spec.cobuchi_guarantees):
+                if comps[base + j] in aut.acceptance.rejecting:
+                    return 3
+        if state.awaiting_guarantee == 0:
+            return 2
     if state.awaiting_assumption == 0:
         return 1
     return 0
@@ -187,7 +240,7 @@ class ParityAutomaton:
     index.  States are numbered in breadth-first discovery order: state 0 is
     the initial state, and reading the array row-major, every new successor
     gets the next free index.  ``colours[s]`` is a Python int and
-    ``states[s]`` recovers the underlying product state.
+    ``states[s]`` recovers the underlying product state, region included.
     """
 
     table: ApTable
@@ -200,7 +253,8 @@ class ParityAutomaton:
 
 
 def raw_product_bound(spec: NormalizedSpec) -> int:
-    """Size of the unrestricted product state space."""
+    """Size of the unrestricted product state space, with a counter slot for
+    every Buchi conjunct: an upper bound on the reachable product."""
     bound = (spec.n_buchi_assumptions + 1) * (spec.n_buchi_guarantees + 1) * 2
     for aut in spec.components:
         bound *= aut.n_states
@@ -214,56 +268,104 @@ def build_product(
 ) -> ParityAutomaton:
     """Breadth-first construction of the reachable parity product.
 
-    A state is keyed by one mixed-radix integer (component states, the two
-    counters, the flag) below :func:`raw_product_bound`, which must fit int64.
-    A whole level steps at once: successor keys are a gather-and-sum over the
-    radix-weighted component tables plus a control term per source state.
+    A state is keyed by one int64.  Live keys are mixed-radix numbers over the
+    component states, the two counters and the flag, below ``live``.  A
+    guarantee-dead key is ``live`` plus a mixed-radix number over the
+    assumption components and the assumption counter, and the one
+    assumption-dead key comes last.  The whole key space must fit both int64
+    and ``state_limit``.  A whole level steps at once: successor keys are a
+    gather-and-sum over the radix-weighted component tables plus a control
+    term per source state, redirected to a dead region wherever a successor
+    component lands in one of its losing sinks.
     """
     table, component_tables = validate_normalized(spec)
-    bound = raw_product_bound(spec)
-    limit = min(state_limit, np.iinfo(np.int64).max)  # state keys are int64
-    if bound > limit:
-        raise CapacityExceeded(
-            f"product bound {bound} exceeds the configured limit {limit}")
-
     components = spec.components
     k = len(components)
     n1 = spec.n_buchi_assumptions
-    n2 = spec.n_cobuchi_assumptions
+    na = n1 + spec.n_cobuchi_assumptions
     n3 = spec.n_buchi_guarantees
-    radices = np.array([aut.n_states for aut in components] + [n1 + 1, n3 + 1, 2],
-                       dtype=np.int64)
-    weights = np.cumprod(radices) // radices
+    sinks = [_losing_sinks(aut, rows) for aut, rows in zip(components, component_tables)]
+    counted_a = [j for j in range(n1) if _takes_counter_slot(components[j], sinks[j])]
+    counted_g = [j for j in range(na, na + n3)
+                 if _takes_counter_slot(components[j], sinks[j])]
+    radices = ([aut.n_states for aut in components]
+               + [len(counted_a) + 1, len(counted_g) + 1, 2])
+    weights = [prod(radices[:j]) for j in range(k + 3)]
+    live = prod(radices)
+    dead_counter_weight = weights[na]  # assumption counter above the assumptions
+    sink_key = live + dead_counter_weight * (len(counted_a) + 1)
+    limit = min(state_limit, np.iinfo(np.int64).max)  # state keys are int64
+    if sink_key + 1 > limit:
+        raise CapacityExceeded(
+            f"product key space {sink_key + 1} exceeds the configured limit {limit}")
+
     weighted_tables = [np.array(rows, dtype=np.int64) * w
                        for rows, w in zip(component_tables, weights)]
-    control_weights = weights[k:].tolist()
+    lost = []  # (component, whether each (state, letter) enters a losing sink)
+    for j, rows in enumerate(component_tables):
+        if sinks[j]:
+            is_sink = np.zeros(components[j].n_states, dtype=bool)
+            is_sink[list(sinks[j])] = True
+            lost.append((j, is_sink[np.array(rows)]))
+    accepting = {j: components[j].acceptance.accepting for j in counted_a + counted_g}
+    rejecting = [(j, aut.acceptance.rejecting)
+                 for j, aut in enumerate(spec.cobuchi_guarantees, na + n3)]
+    counter_weights = weights[k:]
+    radix_row = np.array(radices, dtype=np.int64)
+    weight_row = np.array(weights, dtype=np.int64)
 
-    initial_key = sum(aut.initial * w for aut, w in zip(components, weights.tolist()))
+    start = [aut.initial for aut in components]
+    if any(start[j] in sinks[j] for j in range(na)):
+        initial_key = sink_key
+    elif any(start[j] in sinks[j] for j in range(na, k)):
+        initial_key = live + sum(s * w for s, w in zip(start[:na], weights))
+    else:
+        initial_key = sum(s * w for s, w in zip(start, weights))
     index = {initial_key: 0}
     frontier = np.array([initial_key], dtype=np.int64)
     states: list[ProductState] = []
     targets: list[int] = []
     no_letters = np.zeros(table.n_letters, dtype=np.int64)  # broadcasts rows
     while len(frontier):
-        digits = frontier[:, None] // weights % radices
-        control = []
-        for row in digits.tolist():
-            comps = tuple(row[:k])
-            state = ProductState(comps, row[k], row[k + 1], bool(row[k + 2]))
+        region = (frontier >= live).astype(np.int64) + (frontier == sink_key)
+        offset = frontier - live * (region > 0)
+        digits = offset[:, None] // weight_row % radix_row
+        dead_awaiting = offset // dead_counter_weight % (len(counted_a) + 1)
+        live_control = []
+        dead_control = []
+        for row, where, awaiting in zip(
+                digits.tolist(), region.tolist(), dead_awaiting.tolist()):
+            if where == LIVE:
+                state = ProductState(tuple(row[:k]), row[k], row[k + 1], bool(row[k + 2]))
+            elif where == GUARANTEE_DEAD:
+                state = ProductState(tuple(row[:na]), awaiting, 0, False, GUARANTEE_DEAD)
+            else:
+                state = ProductState((), 0, 0, False, ASSUMPTION_DEAD)
             states.append(state)
-            # the control structure reads only the source state
+            # the control structure reads only the source state; the digits a
+            # collapsed state does not track only feed keys that are replaced
             counters = control_successor(
-                *state[1:],
-                [s in aut.acceptance.accepting
-                 for aut, s in zip(spec.buchi_assumptions, comps)],
-                [s in aut.acceptance.accepting
-                 for aut, s in zip(spec.buchi_guarantees, comps[n1 + n2:])],
-                [s in aut.acceptance.rejecting
-                 for aut, s in zip(spec.cobuchi_guarantees, comps[n1 + n2 + n3:])])
-            control.append(sum(c * w for c, w in zip(counters, control_weights)))
-        successors = np.array(control, dtype=np.int64)[:, None] + no_letters
-        for j, weighted in enumerate(weighted_tables):
-            successors += weighted[digits[:, j]]
+                *state[1:4],
+                [row[j] in accepting[j] for j in counted_a],
+                [row[j] in accepting[j] for j in counted_g],
+                [row[j] in marked for j, marked in rejecting])
+            live_control.append(sum(c * w for c, w in zip(counters, counter_weights)))
+            dead_control.append(live + counters[0] * dead_counter_weight)
+        assumption_part = sum(
+            (weighted_tables[j][digits[:, j]] for j in range(na)), no_letters)
+        assumed = np.array(dead_control, dtype=np.int64)[:, None] + assumption_part
+        guaranteed = sum(
+            (weighted_tables[j][digits[:, j]] for j in range(na, k)),
+            np.array(live_control, dtype=np.int64)[:, None] + assumption_part)
+        guarantee_lost = region[:, None] != LIVE
+        assumption_lost = region[:, None] == ASSUMPTION_DEAD
+        for j, enters_sink in lost:
+            if j < na:
+                assumption_lost = assumption_lost | enters_sink[digits[:, j]]
+            else:
+                guarantee_lost = guarantee_lost | enters_sink[digits[:, j]]
+        successors = np.where(
+            assumption_lost, sink_key, np.where(guarantee_lost, assumed, guaranteed))
         # number new keys in (source, letter) order, as a FIFO queue would
         known = len(index)
         setdefault = index.setdefault

@@ -9,7 +9,7 @@ parity games are solved by a FIFO worklist attractor over Python lists.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from rabinsynth.automata import (
     Buchi,
@@ -19,6 +19,7 @@ from rabinsynth.automata import (
     OnePairRabin,
     Parity,
     Safety,
+    infinity_set,
 )
 from rabinsynth.boolexpr import ApTable, evaluate
 from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame
@@ -30,7 +31,8 @@ from rabinsynth.ltl import (
     Response,
     StateInit,
 )
-from rabinsynth.pipeline import ConjunctSource, SpecProblem
+from rabinsynth.pipeline import (
+    ConjunctSource, SpecProblem, lasso_oracle, product_accepts)
 from rabinsynth.solvers import Solution
 
 
@@ -113,6 +115,30 @@ def all_lassos(table: ApTable, max_stem: int, max_loop: int):
             for loop_len in range(1, max_loop + 1):
                 for loop in itertools.product(letters, repeat=loop_len):
                     yield Lasso(stem, loop)
+
+
+def random_lassos(rng, n_letters: int, count: int, max_stem: int = 6,
+                  max_loop: int = 6):
+    """Seeded random lassos.  Each draws its letters from 1 to 3 letters
+    picked at random, so that many avoid whole letter classes for good."""
+    for _ in range(count):
+        alphabet = rng.sample(range(n_letters), min(n_letters, rng.randint(1, 3)))
+        stem = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_stem)))
+        loop = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_loop)))
+        yield Lasso(stem, loop)
+
+
+def sampled_differential(spec, pa, lassos) -> tuple[int, Counter]:
+    """Compare ``product_accepts`` with ``lasso_oracle`` on the lassos;
+    return the number of disagreements and how many lassos end in each
+    product region (the regions are absorbing, so a run's cycle lies in one)."""
+    mismatches = 0
+    ends: Counter = Counter()
+    for lasso in lassos:
+        mismatches += product_accepts(pa, lasso) != lasso_oracle(spec, lasso)
+        cycle = infinity_set(pa.transitions.item, pa.initial, lasso)
+        ends[pa.states[min(cycle)].region] += 1
+    return mismatches, ends
 
 
 def pattern_holds(pattern, lasso: Lasso, table: ApTable) -> bool:

@@ -24,6 +24,8 @@ from rabinsynth.pipeline import (
     verify_mealy,
 )
 from rabinsynth.product import (
+    ASSUMPTION_DEAD,
+    GUARANTEE_DEAD,
     NormalizedSpec,
     build_product,
     product_to_automaton,
@@ -130,6 +132,19 @@ def test_criterion_4_differential_oracle():
         for i, spec in enumerate(random_specs(500)):
             report = differential_test(spec, 2, 3)
             assert report.mismatches == 0, f"random spec {i}"
+
+
+def test_criterion_4_reaches_both_collapsed_regions():
+    # the random specs of criterion 4 must include many whose product has a
+    # guarantee-dead region and many whose product has the assumption sink,
+    # so that the exhaustive oracle covers both
+    reached = {GUARANTEE_DEAD: 0, ASSUMPTION_DEAD: 0}
+    for spec in random_specs(500):
+        regions = {state.region for state in build_product(spec).states}
+        for region in reached:
+            reached[region] += region in regions
+    assert reached[GUARANTEE_DEAD] >= 100
+    assert reached[ASSUMPTION_DEAD] >= 100
 
 
 def test_criterion_5_solver_cross_check():

@@ -15,6 +15,9 @@ from rabinsynth.automata import (
 from rabinsynth.boolexpr import ApTable, Var
 from rabinsynth.ltl import Persistence, Recurrence, compile_pattern, parse_ltl
 from rabinsynth.product import (
+    ASSUMPTION_DEAD,
+    GUARANTEE_DEAD,
+    LIVE,
     CapacityExceeded,
     NormalizedSpec,
     ProductState,
@@ -23,10 +26,11 @@ from rabinsynth.product import (
     control_successor,
     raw_product_bound,
 )
-from rabinsynth.pipeline import normalize_problem, product_accepts
+from rabinsynth.pipeline import (
+    ConjunctSource, Realizable, SpecProblem, normalize_problem, product_accepts, synthesize)
 from rabinsynth.rand import random_normalized_spec
 
-from helpers import all_lassos, arbiter_problem
+from helpers import all_lassos, arbiter_problem, random_lassos, sampled_differential
 
 
 def gf_spec():
@@ -230,3 +234,67 @@ class TestBuildProduct:
         with pytest.raises(ValidationError) as raised:
             build_product(spec)
         assert raised.value.issues == issues
+
+
+def ltl_problem(inputs, outputs, assumptions, guarantees) -> SpecProblem:
+    return SpecProblem(
+        tuple(inputs), tuple(outputs),
+        tuple(ConjunctSource(ltl=a) for a in assumptions),
+        tuple(ConjunctSource(ltl=g) for g in guarantees))
+
+
+class TestDeadRegions:
+    def test_safety_guarantee_takes_no_counter_slot(self):
+        mutex = ltl_problem(["r"], ["g0", "g1"], [], ["G !(g0 & g1)"])
+        pa = build_product(normalize_problem(mutex))
+        assert {s.region for s in pa.states} == {LIVE, GUARANTEE_DEAD}
+        assert all(s.awaiting_guarantee == 0 for s in pa.states)
+        # a recurrence guarantee next to it gets the counter's only slot
+        both = ltl_problem(["r"], ["g0", "g1"], [], ["G !(g0 & g1)", "G F g0"])
+        pa = build_product(normalize_problem(both))
+        assert {s.awaiting_guarantee for s in pa.states} == {0, 1}
+
+    def test_states_after_a_violation_use_assumption_colours(self):
+        problem = ltl_problem(
+            ["i0"], ["o0"], ["G F i0", "F G i0"], ["F G o0", "G !o0"])
+        pa = build_product(normalize_problem(problem))
+        dead = [c for c, s in zip(pa.colours, pa.states) if s.region == GUARANTEE_DEAD]
+        assert set(dead) == {0, 1, 4}
+        assert all(len(s.components) == 2 for s in pa.states
+                   if s.region == GUARANTEE_DEAD)
+        assert set(pa.colours) == {0, 1, 2, 3, 4}
+
+    def test_assumption_sink_collapses_to_one_state(self):
+        problem = ltl_problem(["i0", "i1"], ["o0"], ["G i0", "G (i1 -> X i0)"],
+                              ["G F o0", "G (i0 -> F o0)"])
+        pa = build_product(normalize_problem(problem))
+        sinks = [s for s, p in enumerate(pa.states) if p.region == ASSUMPTION_DEAD]
+        assert len(sinks) == 1
+        (sink,) = sinks
+        assert pa.states[sink] == ProductState((), 0, 0, False, ASSUMPTION_DEAD)
+        assert pa.colours[sink] == 0
+        assert (pa.transitions[sink] == sink).all()
+
+    @pytest.mark.parametrize("n, unrealizable, states", [
+        (2, False, 218), (3, False, 1425), (3, True, 1635), (4, False, 7932)])
+    def test_arbiter_sizes(self, n, unrealizable, states):
+        spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
+        pa = build_product(spec)
+        assert pa.n_states == states
+        assert pa.n_states <= raw_product_bound(spec)
+
+    def test_four_client_arbiter_is_realizable(self):
+        # a Realizable outcome carries a machine that passed verify_mealy
+        outcome = synthesize(arbiter_problem(4))
+        assert isinstance(outcome, Realizable)
+
+    @pytest.mark.parametrize("n, unrealizable", [(3, False), (3, True), (4, False)])
+    def test_sampled_lasso_differential_on_arbiters(self, n, unrealizable):
+        spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
+        pa = build_product(spec)
+        count = 2000
+        lassos = random_lassos(random.Random(n), pa.table.n_letters, count)
+        mismatches, ends = sampled_differential(spec, pa, lassos)
+        assert mismatches == 0
+        assert ends[GUARANTEE_DEAD] >= count // 2
+        assert ends[LIVE] >= count // 20
