@@ -14,15 +14,11 @@ import argparse
 import random
 import sys
 import time
-from pathlib import Path
 
-from rabinsynth.pipeline import differential_test, normalize_problem
+from rabinsynth.pipeline import differential_test, normalize_problem, sampled_differential
 from rabinsynth.product import ASSUMPTION_DEAD, GUARANTEE_DEAD, LIVE, build_product
-from rabinsynth.rand import random_game, random_normalized_spec
+from rabinsynth.rand import arbiter_problem, random_game, random_lassos, random_normalized_spec
 from rabinsynth.solvers import certify_strategy, solve_progress_measures, solve_zielonka
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import arbiter_problem, random_lassos, sampled_differential  # noqa: E402
 
 
 #: Games of up to 400 states, where attractors run many levels deep.
@@ -30,6 +26,9 @@ LARGE_GAMES = (40, 400)
 
 #: (clients, unrealizable variant) of the arbiters the sampled lassos run on.
 ARBITERS = ((3, False), (3, True), (4, False))
+
+#: Seeded random lassos per arbiter.
+ARBITER_LASSOS = 2000
 
 
 def run_differential(args) -> int:
@@ -45,9 +44,8 @@ def run_differential(args) -> int:
         if report.mismatches:
             mismatching += 1
             print(f"  spec {i}: {report.mismatches} mismatches")
-        regions = {state.region for state in build_product(spec).states}
         for region in reached:
-            reached[region] += region in regions
+            reached[region] += region in report.regions
     elapsed = time.perf_counter() - started
     print(f"differential: {args.specs} specs, {checked} lassos, "
           f"{mismatching} bad specs; {reached[GUARANTEE_DEAD]} specs reach the "
@@ -66,7 +64,7 @@ def run_arbiter_lassos(args) -> int:
     for n, unrealizable in ARBITERS:
         spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
         pa = build_product(spec)
-        lassos = random_lassos(rng, pa.table.n_letters, args.arbiter_lassos)
+        lassos = random_lassos(rng, pa.table.n_letters, ARBITER_LASSOS)
         mismatches, arbiter_ends = sampled_differential(spec, pa, lassos)
         if mismatches:
             print(f"  {n}-client arbiter (unrealizable={unrealizable}): "
@@ -75,7 +73,7 @@ def run_arbiter_lassos(args) -> int:
         for region in ends:
             ends[region] += arbiter_ends[region]
     elapsed = time.perf_counter() - started
-    print(f"arbiter lassos: {len(ARBITERS)} arbiters x {args.arbiter_lassos} "
+    print(f"arbiter lassos: {len(ARBITERS)} arbiters x {ARBITER_LASSOS} "
           f"lassos, {disagreements} disagreements; {ends[GUARANTEE_DEAD]} end in "
           f"the guarantee-dead region, {ends[LIVE]} in the live one; {elapsed:.2f}s")
     return disagreements
@@ -113,7 +111,6 @@ def main() -> int:
     parser.add_argument("--max-stem", type=int, default=2)
     parser.add_argument("--max-loop", type=int, default=3)
     parser.add_argument("--max-game-states", type=int, default=50)
-    parser.add_argument("--arbiter-lassos", type=int, default=2000)
     args = parser.parse_args()
     bad = (run_differential(args) + run_arbiter_lassos(args)
            + run_solver_cross_check(args))

@@ -46,6 +46,7 @@ from .pipeline import (
     lasso_oracle,
     normalize_problem,
     product_accepts,
+    sampled_differential,
     synthesize,
     verify_mealy,
 )
@@ -121,6 +122,7 @@ __all__ = [
     "parse_ltl",
     "product_accepts",
     "raw_product_bound",
+    "sampled_differential",
     "solve_progress_measures",
     "solve_zielonka",
     "synthesize",

@@ -3,15 +3,18 @@
 The pipeline also hosts the two semantic reference points used throughout the
 test suite: :func:`lasso_oracle`, which evaluates the implication shape
 conjunct by conjunct on a lasso word, and :func:`differential_test`, which
-compares the parity product against that oracle over all small lassos.
+compares the parity product against that oracle over all small lassos;
+:func:`sampled_differential` compares them on given lassos, for specs with
+too many propositions to enumerate.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -277,10 +280,28 @@ def product_accepts(pa: ParityAutomaton, lasso: Lasso) -> bool:
     return accepts_inf(Parity(pa.colours, 5), inf)
 
 
+def sampled_differential(
+    spec: NormalizedSpec,
+    pa: ParityAutomaton,
+    lassos: Iterable[Lasso],
+) -> tuple[int, Counter[int]]:
+    """Compare ``product_accepts`` with ``lasso_oracle`` on the lassos; return
+    the number of disagreements and how many lassos end in each product
+    region (the regions are absorbing, so a run's cycle lies in one)."""
+    mismatches = 0
+    ends: Counter[int] = Counter()
+    for lasso in lassos:
+        mismatches += product_accepts(pa, lasso) != lasso_oracle(spec, lasso)
+        cycle = infinity_set(pa.transitions.item, pa.initial, lasso)
+        ends[pa.states[min(cycle)].region] += 1
+    return mismatches, ends
+
+
 @dataclass(frozen=True)
 class DifferentialReport:
     checked: int
     mismatches: int
+    regions: frozenset[int]  # the product regions the spec reaches
 
 
 # highest set bit of a 5-bit colour mask, evenness table
@@ -386,7 +407,9 @@ def differential_test(
             disagree = product_verdict[end_states] != oracle_verdict[end_states]
             mismatches += int(end_multiplicity[disagree].sum())
             checked += n_stems
-    return DifferentialReport(checked=checked, mismatches=mismatches)
+    return DifferentialReport(
+        checked=checked, mismatches=mismatches,
+        regions=frozenset(pstate.region for pstate in pa.states))
 
 
 # ---------------------------------------------------------------------------

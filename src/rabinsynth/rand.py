@@ -1,4 +1,5 @@
-"""Seeded random instances for differential and property testing."""
+"""Instances for differential and property testing: seeded random specs,
+games and lassos, and the n-client arbiter family."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import random
 
 import numpy as np
 
-from .automata import Buchi, CoBuchi, OmegaAutomaton, OnePairRabin, Safety
+from .automata import Buchi, CoBuchi, Lasso, OmegaAutomaton, OnePairRabin, Safety
 from .boolexpr import ApTable
 from .game import SynthesisGame
 from .hoa import automaton_from_letter_table
@@ -22,6 +23,7 @@ from .ltl import (
     normalize,
 )
 from .boolexpr import And, BoolExpr, Lit, Not, Or, Var
+from .pipeline import ConjunctSource, SpecProblem
 from .product import NormalizedSpec
 
 
@@ -155,3 +157,42 @@ def random_game(
         state_colours=colours,
         initial=rng.randrange(n_states),
     )
+
+
+def random_lassos(
+    rng: random.Random,
+    n_letters: int,
+    count: int,
+    max_stem: int = 6,
+    max_loop: int = 6,
+):
+    """Seeded random lassos.  Each draws its letters from 1 to 3 letters
+    picked at random, so that many avoid whole letter classes for good."""
+    for _ in range(count):
+        alphabet = rng.sample(range(n_letters), min(n_letters, rng.randint(1, 3)))
+        stem = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_stem)))
+        loop = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_loop)))
+        yield Lasso(stem, loop)
+
+
+def arbiter_problem(n: int, *, unrealizable: bool = False) -> SpecProblem:
+    """The n-client request/grant arbiter: ``G F !ri`` assumed; ``G (ri -> F gi)``,
+    pairwise ``G !(gi & gj)`` and ``F G (!r0 | ... | g0 | ...)`` guaranteed.
+
+    ``unrealizable`` adds the assumption ``F G (!r0 | !r1)`` and the guarantee
+    ``F G !g{n-1}``, which no System strategy meets together with the rest.
+    """
+    requests = [f"r{i}" for i in range(n)]
+    grants = [f"g{i}" for i in range(n)]
+    assumptions = [f"G F !{r}" for r in requests]
+    guarantees = [f"G ({r} -> F {g})" for r, g in zip(requests, grants)]
+    guarantees += [f"G !({grants[i]} & {grants[j]})"
+                   for i in range(n) for j in range(i + 1, n)]
+    guarantees.append("F G (" + " | ".join([f"!{r}" for r in requests] + grants) + ")")
+    if unrealizable:
+        assumptions.append("F G (!r0 | !r1)")
+        guarantees.append(f"F G !g{n - 1}")
+    return SpecProblem(
+        tuple(requests), tuple(grants),
+        tuple(ConjunctSource(ltl=a) for a in assumptions),
+        tuple(ConjunctSource(ltl=g) for g in guarantees))

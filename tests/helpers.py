@@ -9,7 +9,7 @@ parity games are solved by a FIFO worklist attractor over Python lists.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 
 from rabinsynth.automata import (
     Buchi,
@@ -19,7 +19,6 @@ from rabinsynth.automata import (
     OnePairRabin,
     Parity,
     Safety,
-    infinity_set,
 )
 from rabinsynth.boolexpr import ApTable, evaluate
 from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame
@@ -31,8 +30,6 @@ from rabinsynth.ltl import (
     Response,
     StateInit,
 )
-from rabinsynth.pipeline import (
-    ConjunctSource, SpecProblem, lasso_oracle, product_accepts)
 from rabinsynth.solvers import Solution
 
 
@@ -117,30 +114,6 @@ def all_lassos(table: ApTable, max_stem: int, max_loop: int):
                     yield Lasso(stem, loop)
 
 
-def random_lassos(rng, n_letters: int, count: int, max_stem: int = 6,
-                  max_loop: int = 6):
-    """Seeded random lassos.  Each draws its letters from 1 to 3 letters
-    picked at random, so that many avoid whole letter classes for good."""
-    for _ in range(count):
-        alphabet = rng.sample(range(n_letters), min(n_letters, rng.randint(1, 3)))
-        stem = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_stem)))
-        loop = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_loop)))
-        yield Lasso(stem, loop)
-
-
-def sampled_differential(spec, pa, lassos) -> tuple[int, Counter]:
-    """Compare ``product_accepts`` with ``lasso_oracle`` on the lassos;
-    return the number of disagreements and how many lassos end in each
-    product region (the regions are absorbing, so a run's cycle lies in one)."""
-    mismatches = 0
-    ends: Counter = Counter()
-    for lasso in lassos:
-        mismatches += product_accepts(pa, lasso) != lasso_oracle(spec, lasso)
-        cycle = infinity_set(pa.transitions.item, pa.initial, lasso)
-        ends[pa.states[min(cycle)].region] += 1
-    return mismatches, ends
-
-
 def pattern_holds(pattern, lasso: Lasso, table: ApTable) -> bool:
     """Direct semantics of the supported patterns on an ultimately periodic
     word, decided by stem and loop position analysis."""
@@ -211,29 +184,6 @@ def induced_lasso(machine, input_lasso: Lasso) -> Lasso:
             loop = [a for p in per_pass[first:] for a in p]
             return Lasso(tuple(stem), tuple(loop))
         boundaries[current] = len(per_pass)
-
-
-def arbiter_problem(n: int, *, unrealizable: bool = False) -> SpecProblem:
-    """The n-client request/grant arbiter: ``G F !ri`` assumed; ``G (ri -> F gi)``,
-    pairwise ``G !(gi & gj)`` and ``F G (!r0 | ... | g0 | ...)`` guaranteed.
-
-    ``unrealizable`` adds the assumption ``F G (!r0 | !r1)`` and the guarantee
-    ``F G !g{n-1}``, which no System strategy meets together with the rest.
-    """
-    requests = [f"r{i}" for i in range(n)]
-    grants = [f"g{i}" for i in range(n)]
-    assumptions = [f"G F !{r}" for r in requests]
-    guarantees = [f"G ({r} -> F {g})" for r, g in zip(requests, grants)]
-    guarantees += [f"G !({grants[i]} & {grants[j]})"
-                   for i in range(n) for j in range(i + 1, n)]
-    guarantees.append("F G (" + " | ".join([f"!{r}" for r in requests] + grants) + ")")
-    if unrealizable:
-        assumptions.append("F G (!r0 | !r1)")
-        guarantees.append(f"F G !g{n - 1}")
-    return SpecProblem(
-        tuple(requests), tuple(grants),
-        tuple(ConjunctSource(ltl=a) for a in assumptions),
-        tuple(ConjunctSource(ltl=g) for g in guarantees))
 
 
 def reference_zielonka(game: SynthesisGame) -> Solution:

@@ -7,6 +7,7 @@ live) and enforces its runtime budget.
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 from rabinsynth.automata import Parity
@@ -20,6 +21,7 @@ from rabinsynth.pipeline import (
     Unrealizable,
     differential_test,
     normalize_problem,
+    sampled_differential,
     synthesize,
     verify_mealy,
 )
@@ -31,7 +33,7 @@ from rabinsynth.product import (
     product_to_automaton,
     raw_product_bound,
 )
-from rabinsynth.rand import random_game, random_normalized_spec
+from rabinsynth.rand import random_game, random_lassos, random_normalized_spec
 from rabinsynth.solvers import certify_strategy, solve_progress_measures, solve_zielonka
 
 from helpers import letter_table
@@ -137,14 +139,24 @@ def test_criterion_4_differential_oracle():
 def test_criterion_4_reaches_both_collapsed_regions():
     # the random specs of criterion 4 must include many whose product has a
     # guarantee-dead region and many whose product has the assumption sink,
-    # so that the exhaustive oracle covers both
-    reached = {GUARANTEE_DEAD: 0, ASSUMPTION_DEAD: 0}
-    for spec in random_specs(500):
-        regions = {state.region for state in build_product(spec).states}
-        for region in reached:
-            reached[region] += region in regions
+    # so that the exhaustive oracle covers both.  That oracle reads every
+    # conjunct a collapsed state no longer tracks as failing, so it cannot
+    # tell a wrongly collapsed state; sampled lassos, checked against the
+    # conjunct automata themselves, can.
+    rng = random.Random(SEED)
+    reached: Counter[int] = Counter()
+    ends: Counter[int] = Counter()
+    for i, spec in enumerate(random_specs(500)):
+        pa = build_product(spec)
+        reached.update({state.region for state in pa.states})
+        lassos = random_lassos(rng, pa.table.n_letters, 40)
+        mismatches, spec_ends = sampled_differential(spec, pa, lassos)
+        assert mismatches == 0, f"random spec {i}"
+        ends.update(spec_ends)
     assert reached[GUARANTEE_DEAD] >= 100
     assert reached[ASSUMPTION_DEAD] >= 100
+    assert ends[GUARANTEE_DEAD] >= 2000
+    assert ends[ASSUMPTION_DEAD] >= 2000
 
 
 def test_criterion_5_solver_cross_check():

@@ -27,10 +27,17 @@ from rabinsynth.product import (
     raw_product_bound,
 )
 from rabinsynth.pipeline import (
-    ConjunctSource, Realizable, SpecProblem, normalize_problem, product_accepts, synthesize)
-from rabinsynth.rand import random_normalized_spec
+    ConjunctSource,
+    Realizable,
+    SpecProblem,
+    normalize_problem,
+    product_accepts,
+    sampled_differential,
+    synthesize,
+)
+from rabinsynth.rand import arbiter_problem, random_lassos, random_normalized_spec
 
-from helpers import all_lassos, arbiter_problem, random_lassos, sampled_differential
+from helpers import all_lassos
 
 
 def gf_spec():

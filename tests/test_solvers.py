@@ -9,7 +9,7 @@ from rabinsynth.cli import load_spec_problem
 from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
 from rabinsynth.pipeline import normalize_problem
 from rabinsynth.product import build_product
-from rabinsynth.rand import random_game
+from rabinsynth.rand import arbiter_problem, random_game
 from rabinsynth.solvers import (
     ShapeError,
     Solution,
@@ -18,7 +18,7 @@ from rabinsynth.solvers import (
     solve_zielonka,
 )
 
-from helpers import arbiter_problem, reference_zielonka
+from helpers import reference_zielonka
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE = ApTable(("r", "g"))
