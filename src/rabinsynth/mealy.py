@@ -50,7 +50,11 @@ def machine_to_dict(machine: MealyMachine) -> dict:
 
 
 def machine_to_json(machine: MealyMachine) -> str:
-    return json.dumps(machine_to_dict(machine), indent=2) + "\n"
+    """Compact JSON: the header on the first line, one transition per line."""
+    data = machine_to_dict(machine)
+    rows = [json.dumps(t, separators=(",", ":")) for t in data.pop("transitions")]
+    header = json.dumps(data, separators=(",", ":"))[:-1]
+    return header + ',"transitions":[\n' + ",\n".join(rows) + "\n]}\n"
 
 
 def machine_from_dict(data: dict) -> MealyMachine:

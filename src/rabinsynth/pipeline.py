@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .automata import (
-    Lasso, OmegaAutomaton, Parity, accepts_inf, eval_lasso, infinity_set)
+    Buchi, Lasso, OmegaAutomaton, Parity, accepts_inf, eval_lasso, infinity_set)
 from .boolexpr import ApTable
 from .game import SynthesisGame, build_game
 from .hoa import parse_hoa
@@ -291,8 +291,9 @@ def sampled_differential(
     mismatches = 0
     ends: Counter[int] = Counter()
     for lasso in lassos:
-        mismatches += product_accepts(pa, lasso) != lasso_oracle(spec, lasso)
         cycle = infinity_set(pa.transitions.item, pa.initial, lasso)
+        accepted = accepts_inf(Parity(pa.colours, 5), cycle)
+        mismatches += accepted != lasso_oracle(spec, lasso)
         ends[pa.states[min(cycle)].region] += 1
     return mismatches, ends
 
@@ -309,6 +310,9 @@ _HIGH_EVEN = np.array(
     [False] + [((m.bit_length() - 1) % 2 == 0) for m in range(1, 32)],
     dtype=bool)
 
+# (loop words x product states) cells processed per array pass
+_CHUNK_CELLS = 4096
+
 
 def differential_test(
     spec: NormalizedSpec,
@@ -321,42 +325,41 @@ def differential_test(
     """Compare product verdicts against the conjunct oracle on every lasso
     with stem length up to ``max_stem`` and loop length up to ``max_loop``.
 
-    Verdicts are computed for all stems and loops simultaneously: one bit
-    signature per product state records its colour and the acceptance-set
-    memberships of every conjunct component, and pointer doubling aggregates
-    those signatures over the repeating cycle of each loop word.  In a
-    collapsed product state every conjunct it no longer tracks reads as
-    failing: one of them has failed for good, so the verdict is the same.
+    Verdicts are computed for all stems at once: one bit signature per
+    product state records its colour and the acceptance-set memberships of
+    every conjunct component, and pointer doubling aggregates those
+    signatures over the repeating cycle of each loop word.  The loop words
+    of one length are checked together, in chunks of at most
+    ``_CHUNK_CELLS`` (word, state) cells.  In a collapsed product state
+    every conjunct it no longer tracks reads as failing: one of them has
+    failed for good, so the verdict is the same.
     """
     if len(spec.inputs) + len(spec.outputs) > max_aps:
         raise CapacityExceeded(
             f"differential enumeration is limited to {max_aps} propositions")
+    if len(spec.components) > 58:
+        raise CapacityExceeded("too many conjuncts for packed signatures")
     pa = build_product(spec, state_limit=state_limit)
     n = pa.n_states
     n_letters = pa.table.n_letters
     # int32 index arrays would be converted on every gather below
     transitions = pa.transitions.astype(np.intp)
 
-    conjuncts = []  # (is_assumption, is_buchi, marked state set) per component
-    for aut in spec.buchi_assumptions:
-        conjuncts.append((True, True, aut.acceptance.accepting))
-    for aut in spec.cobuchi_assumptions:
-        conjuncts.append((True, False, aut.acceptance.rejecting))
-    for aut in spec.buchi_guarantees:
-        conjuncts.append((False, True, aut.acceptance.accepting))
-    for aut in spec.cobuchi_guarantees:
-        conjuncts.append((False, False, aut.acceptance.rejecting))
-    if len(conjuncts) > 58:
-        raise CapacityExceeded("too many conjuncts for packed signatures")
-
+    # per component: whether it is Buchi, and its accepting or rejecting states
+    conjuncts = [(True, aut.acceptance.accepting) if isinstance(aut.acceptance, Buchi)
+                 else (False, aut.acceptance.rejecting) for aut in spec.components]
     signature = np.zeros(n, dtype=np.int64)
     for s, pstate in enumerate(pa.states):
         bits = 1 << pa.colours[s]
         tracked = pstate.components  # all, the assumptions only, or none
-        for j, (_, is_buchi, marked) in enumerate(conjuncts):
+        for j, (is_buchi, marked) in enumerate(conjuncts):
             if (tracked[j] in marked) if j < len(tracked) else not is_buchi:
                 bits |= 1 << (5 + j)
         signature[s] = bits
+    # bit j of (cycle bits >> 5) ^ flip is set iff conjunct j accepts
+    flip = sum(1 << j for j, (is_buchi, _) in enumerate(conjuncts) if not is_buchi)
+    assumed = (1 << spec.n_buchi_assumptions + spec.n_cobuchi_assumptions) - 1
+    guaranteed = (1 << len(conjuncts)) - 1 - assumed
 
     # distinct end states of all stems, with multiplicities
     stem_counts = np.zeros(n, dtype=np.int64)
@@ -373,40 +376,33 @@ def differential_test(
     n_stems = int(end_multiplicity.sum())
 
     doubling_rounds = max(1, (n - 1).bit_length())
-    identity = np.arange(n, dtype=np.int64)
+    chunk_words = max(1, _CHUNK_CELLS // n)
 
     checked = 0
     mismatches = 0
-    loop: tuple[int, ...]
     for length in range(1, max_loop + 1):
-        for encoded in range(n_letters ** length):
-            loop = tuple((encoded // n_letters ** i) % n_letters
-                         for i in range(length))
-            jump = identity
-            bits = np.zeros(n, dtype=np.int64)
-            for letter in loop:
-                jump = transitions[jump, letter]
-                bits = bits | signature[jump]
+        n_words = n_letters ** length
+        for first in range(0, n_words, chunk_words):
+            words = np.arange(first, min(first + chunk_words, n_words))
+            jump = np.broadcast_to(np.arange(n), (len(words), n))
+            bits = np.zeros((len(words), n), dtype=np.int64)
+            for i in range(length):
+                jump = transitions[jump, (words // n_letters ** i % n_letters)[:, None]]
+                bits |= signature[jump]
+            # pointer doubling on flat indices into the (words x states) array
+            jump = (jump + n * np.arange(len(words))[:, None]).ravel()
+            bits = bits.ravel()
             for _ in range(doubling_rounds):
                 bits = bits | bits[jump]
                 jump = jump[jump]
-            cycle_bits = bits[jump]
+            cycle_bits = bits[jump.reshape(len(words), n)[:, end_states]]
 
-            product_verdict = _HIGH_EVEN[cycle_bits & 31]
-            assumption_rejected = np.zeros(n, dtype=bool)
-            guarantees_accepted = np.ones(n, dtype=bool)
-            for j, (is_assumption, is_buchi, _) in enumerate(conjuncts):
-                visited = (cycle_bits >> (5 + j) & 1).astype(bool)
-                accepted = visited if is_buchi else ~visited
-                if is_assumption:
-                    assumption_rejected |= ~accepted
-                else:
-                    guarantees_accepted &= accepted
-            oracle_verdict = assumption_rejected | guarantees_accepted
-
-            disagree = product_verdict[end_states] != oracle_verdict[end_states]
-            mismatches += int(end_multiplicity[disagree].sum())
-            checked += n_stems
+            accepted = (cycle_bits >> 5) ^ flip
+            oracle_verdict = (((accepted & assumed) != assumed)
+                              | ((accepted & guaranteed) == guaranteed))
+            disagree = _HIGH_EVEN[cycle_bits & 31] != oracle_verdict
+            mismatches += int(disagree.sum(axis=0) @ end_multiplicity)
+            checked += n_stems * len(words)
     return DifferentialReport(
         checked=checked, mismatches=mismatches,
         regions=frozenset(pstate.region for pstate in pa.states))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -338,6 +339,40 @@ class TestDifferential:
                 some("buchi", (0, 3)), some("cobuchi", (1, 3)))
             report = differential_test(spec, 3, 4)
             assert report.mismatches == 0, trial
+
+    def test_counts_every_disagreeing_lasso(self, monkeypatch):
+        # a product with wrong colours: the report must count exactly the
+        # lassos on which it disagrees with the oracle, over several chunks
+        from rabinsynth import pipeline
+        from rabinsynth.rand import arbiter_problem
+
+        spec = normalize_problem(arbiter_problem(2))
+        pa = build_product(spec)
+        assert (pa.n_states, pa.table.n_letters) == (218, 16)
+        colours = tuple((c + 1) % 5 if s % 7 == 3 else c
+                        for s, c in enumerate(pa.colours))
+        wrong = dataclasses.replace(pa, colours=colours)
+        monkeypatch.setattr(pipeline, "build_product", lambda spec, **kw: wrong)
+        lassos = list(all_lassos(spec.table(), 1, 2))
+        expected = sum(product_accepts(wrong, lasso) != lasso_oracle(spec, lasso)
+                       for lasso in lassos)
+        report = differential_test(spec, 1, 2, max_aps=4)
+        assert expected > 0
+        assert report.checked == len(lassos)
+        assert report.mismatches == expected
+
+    def test_conjunct_limit_is_checked_before_the_product(self, monkeypatch):
+        from rabinsynth import pipeline
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("the product was built")
+
+        table = ApTable(("r", "g"))
+        trivial = compile_pattern(parse_ltl("G (g | !g)")[0], table)
+        spec = NormalizedSpec(("r",), ("g",), (), (), (trivial,) * 59, ())
+        monkeypatch.setattr(pipeline, "build_product", no_product)
+        with pytest.raises(CapacityExceeded, match="too many conjuncts"):
+            differential_test(spec, 1, 1)
 
 
 class TestMachineSerialisation:
