@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Seeded randomized experiments: differential oracle runs, a sampled lasso
+"""Seeded randomized experiments: differential oracle runs, a minimality
+check of every machine synthesized for the random specs, a sampled lasso
 differential on the 3- and 4-client arbiters, and solver cross-checks on
 freshly generated instances.
 
@@ -15,9 +16,12 @@ import random
 import sys
 import time
 
-from rabinsynth.pipeline import differential_test, normalize_problem, sampled_differential
+from rabinsynth.pipeline import (
+    Realizable, differential_test, normalize_problem, sampled_differential, synthesize)
 from rabinsynth.product import ASSUMPTION_DEAD, GUARANTEE_DEAD, LIVE, build_product
-from rabinsynth.rand import arbiter_problem, random_game, random_lassos, random_normalized_spec
+from rabinsynth.rand import (
+    arbiter_problem, distinguishable_pairs, random_game, random_lassos,
+    random_normalized_spec)
 from rabinsynth.solvers import certify_strategy, solve_progress_measures, solve_zielonka
 
 
@@ -32,9 +36,14 @@ ARBITER_LASSOS = 2000
 
 
 def run_differential(args) -> int:
+    """Product against the conjunct oracle on all small lassos of each random
+    spec; each realizable spec's machine is checked to have no two
+    equivalent states."""
     rng = random.Random(args.seed)
     mismatching = 0
     checked = 0
+    machines = 0
+    not_minimal = 0
     reached = {GUARANTEE_DEAD: 0, ASSUMPTION_DEAD: 0}
     started = time.perf_counter()
     for i in range(args.specs):
@@ -46,12 +55,19 @@ def run_differential(args) -> int:
             print(f"  spec {i}: {report.mismatches} mismatches")
         for region in reached:
             reached[region] += region in report.regions
+        outcome = synthesize(spec)
+        if isinstance(outcome, Realizable):
+            machines += 1
+            n = outcome.machine.n_states
+            if len(distinguishable_pairs(outcome.machine)) < n * (n - 1) // 2:
+                not_minimal += 1
+                print(f"  spec {i}: machine has equivalent states")
     elapsed = time.perf_counter() - started
     print(f"differential: {args.specs} specs, {checked} lassos, "
           f"{mismatching} bad specs; {reached[GUARANTEE_DEAD]} specs reach the "
           f"guarantee-dead region, {reached[ASSUMPTION_DEAD]} the assumption "
-          f"sink; {elapsed:.2f}s")
-    return mismatching
+          f"sink; {machines} machines, {not_minimal} not minimal; {elapsed:.2f}s")
+    return mismatching + not_minimal
 
 
 def run_arbiter_lassos(args) -> int:

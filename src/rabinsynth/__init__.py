@@ -3,8 +3,8 @@
 The toolkit compiles an implication-shaped specification whose conjuncts are
 deterministic safety, Buchi, co-Buchi or one-pair Rabin automata into a
 deterministic parity automaton with at most five colours, solves the induced
-two-player game, and either extracts a verified Mealy machine or reports
-unrealizability together with an environment counterstrategy.
+two-player game, and either extracts a minimal, verified Mealy machine or
+reports unrealizability together with an environment counterstrategy.
 """
 
 from .automata import (
@@ -32,7 +32,7 @@ from .ltl import (
     normalize,
     parse_ltl,
 )
-from .mealy import MealyMachine, machine_from_json, machine_to_json
+from .mealy import MealyMachine, machine_from_json, machine_to_json, minimise
 from .pipeline import (
     ConjunctSource,
     DifferentialReport,
@@ -116,6 +116,7 @@ __all__ = [
     "lasso_oracle",
     "machine_from_json",
     "machine_to_json",
+    "minimise",
     "normalize",
     "normalize_problem",
     "parse_hoa",

@@ -190,7 +190,7 @@ def _print_stats(stats) -> None:
     print(
         f"product states: {stats.product_states}, "
         f"game vertices: {stats.game_env_vertices}+{stats.game_system_vertices}, "
-        f"machine states: {stats.machine_states}, "
+        f"minimised machine states: {stats.machine_states}, "
         f"colours: {list(stats.colours_used)}, "
         f"solve time: {stats.solve_seconds:.3f}s",
         file=sys.stderr)

@@ -1,9 +1,10 @@
-"""Mealy machines and their JSON / DOT serialisations."""
+"""Mealy machines, their minimisation, and their JSON / DOT serialisations."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .boolexpr import ApTable
 
@@ -27,61 +28,157 @@ class MealyMachine:
         return ApTable(self.outputs)
 
 
-def machine_to_dict(machine: MealyMachine) -> dict:
+def minimise(machine: MealyMachine) -> MealyMachine:
+    """The minimal machine with the same input/output behaviour.
+
+    Moore's partition refinement: states start in one block per output row
+    and are split by their block and the blocks of their successors until the
+    number of blocks stops growing.  The quotient keeps the blocks reachable
+    from the initial one, numbered breadth-first in input-letter order.
+    """
+    # per state: its successor and output columns, and a getter that reads
+    # its own block and the blocks of its successors
+    columns = [tuple(zip(*row)) for row in machine.transitions]
+    signature = [itemgetter(s, *targets) for s, (targets, _) in enumerate(columns)]
+
+    def number(keys: list) -> tuple[list[int], int]:
+        ids: dict = {}
+        return [ids.setdefault(key, len(ids)) for key in keys], len(ids)
+
+    block, count = number([outputs for _, outputs in columns])
+    while True:
+        refined, refined_count = number([of(block) for of in signature])
+        if refined_count == count:
+            break
+        block, count = refined, refined_count
+
+    member = dict(zip(block, range(len(block))))  # one state of each block
+    index = {block[machine.initial]: 0}
+    order = [block[machine.initial]]
+    rows = []
+    for b in order:
+        targets, outputs = columns[member[b]]
+        row = []
+        for t, y in zip(targets, outputs):
+            target = index.get(block[t])
+            if target is None:
+                target = index[block[t]] = len(order)
+                order.append(block[t])
+            row.append((target, y))
+        rows.append(tuple(row))
+    return MealyMachine(
+        inputs=machine.inputs,
+        outputs=machine.outputs,
+        n_states=len(order),
+        initial=0,
+        transitions=tuple(rows),
+    )
+
+
+def _letter_names(machine: MealyMachine) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """The sorted proposition names of every input and every output letter."""
     in_table = machine.input_table()
     out_table = machine.output_table()
-    transitions = []
-    for s in range(machine.n_states):
-        for x in range(1 << len(machine.inputs)):
-            target, output = machine.transitions[s][x]
-            transitions.append({
-                "from": s,
-                "on": list(in_table.letter_names(x)),
-                "to": target,
-                "out": list(out_table.letter_names(output)),
-            })
+    return ([in_table.letter_names(x) for x in in_table.letters()],
+            [out_table.letter_names(y) for y in out_table.letters()])
+
+
+def _json_names(names: tuple[str, ...]) -> str:
+    # proposition names are identifiers (ApTable checks them): no escapes
+    return "[" + ",".join(f'"{name}"' for name in names) + "]"
+
+
+def machine_to_dict(machine: MealyMachine) -> dict:
+    in_names, out_names = _letter_names(machine)
     return {
         "inputs": list(machine.inputs),
         "outputs": list(machine.outputs),
         "states": machine.n_states,
         "initial": machine.initial,
-        "transitions": transitions,
+        "transitions": [
+            {"from": s, "on": list(in_names[x]), "to": target,
+             "out": list(out_names[output])}
+            for s, row in enumerate(machine.transitions)
+            for x, (target, output) in enumerate(row)],
     }
 
 
 def machine_to_json(machine: MealyMachine) -> str:
-    """Compact JSON: the header on the first line, one transition per line."""
-    data = machine_to_dict(machine)
-    rows = [json.dumps(t, separators=(",", ":")) for t in data.pop("transitions")]
-    header = json.dumps(data, separators=(",", ":"))[:-1]
-    return header + ',"transitions":[\n' + ",\n".join(rows) + "\n]}\n"
+    """Compact JSON: the header on the first line, one transition per line.
+
+    Each letter's JSON fragment is written once; the rows are formatted from
+    the fragments."""
+    in_names, out_names = _letter_names(machine)
+    on = [f',"on":{_json_names(names)},"to":' for names in in_names]
+    out = [f',"out":{_json_names(names)}}}' for names in out_names]
+    rows = [f'{{"from":{s}{on[x]}{target}{out[output]}'
+            for s, row in enumerate(machine.transitions)
+            for x, (target, output) in enumerate(row)]
+    return (f'{{"inputs":{_json_names(machine.inputs)},'
+            f'"outputs":{_json_names(machine.outputs)},'
+            f'"states":{machine.n_states},"initial":{machine.initial},'
+            '"transitions":[\n' + ",\n".join(rows) + "\n]}\n")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _letter(table: ApTable, names) -> int:
+    if not (isinstance(names, list)
+            and all(isinstance(name, str) and name in table for name in names)
+            and len(set(names)) == len(names)):
+        raise ValueError(f"a transition letter must be a list of distinct "
+                         f"propositions among {list(table.names)}, not {names!r}")
+    return table.letter(names)
 
 
 def machine_from_dict(data: dict) -> MealyMachine:
+    """Load a machine document; any malformed field raises ``ValueError``.
+
+    The field types and the number of transitions are checked before any
+    per-state storage is allocated."""
+    if not isinstance(data, dict):
+        raise ValueError("machine must be a JSON object")
+    for key in ("inputs", "outputs", "transitions"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"missing or malformed {key!r} list")
+    for key in ("states", "initial"):
+        if not _is_int(data.get(key)):
+            raise ValueError(f"{key!r} must be an integer")
     inputs = tuple(data["inputs"])
     outputs = tuple(data["outputs"])
     in_table = ApTable(inputs)
     out_table = ApTable(outputs)
-    n_states = int(data["states"])
-    initial = int(data["initial"])
+    n_states = data["states"]
+    initial = data["initial"]
+    entries = data["transitions"]
+    if n_states < 1:
+        raise ValueError("a machine needs at least one state")
+    if len(entries) != n_states << len(inputs):
+        raise ValueError(
+            f"a machine of {n_states} states over {len(inputs)} input "
+            f"propositions needs {n_states << len(inputs)} transitions, "
+            f"not {len(entries)}")
+    if not 0 <= initial < n_states:
+        raise ValueError("initial state out of range")
     n_inputs = 1 << len(inputs)
     rows: list[list[tuple[int, int] | None]] = [
         [None] * n_inputs for _ in range(n_states)]
-    for entry in data["transitions"]:
-        source = int(entry["from"])
-        target = int(entry["to"])
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError("a transition must be a JSON object")
+        source, target = entry.get("from"), entry.get("to")
+        if not (_is_int(source) and _is_int(target)):
+            raise ValueError("transition endpoints must be integers")
         if not (0 <= source < n_states and 0 <= target < n_states):
             raise ValueError("transition endpoint out of range")
-        x = in_table.letter(entry["on"])
-        y = out_table.letter(entry["out"])
+        x = _letter(in_table, entry.get("on"))
+        y = _letter(out_table, entry.get("out"))
         if rows[source][x] is not None:
             raise ValueError(f"duplicate transition for state {source}")
         rows[source][x] = (target, y)
-    for s, row in enumerate(rows):
-        if any(cell is None for cell in row):
-            raise ValueError(f"state {s} is not total over the input alphabet")
-    if not 0 <= initial < n_states:
-        raise ValueError("initial state out of range")
+    # states << len(inputs) transitions, none duplicated: every state is total
     return MealyMachine(
         inputs=inputs,
         outputs=outputs,
@@ -96,22 +193,16 @@ def machine_from_json(text: str) -> MealyMachine:
 
 
 def machine_to_dot(machine: MealyMachine) -> str:
-    in_table = machine.input_table()
-    out_table = machine.output_table()
-
-    def letter_label(names: tuple[str, ...]) -> str:
-        return "{" + ",".join(names) + "}"
-
+    in_names, out_names = _letter_names(machine)
+    on = ["{" + ",".join(names) + "} / " for names in in_names]
+    out = ["{" + ",".join(names) + "}" for names in out_names]
     lines = ["digraph mealy {", "  rankdir=LR;",
              f'  init [shape=point, label=""];',
              f"  init -> s{machine.initial};"]
     for s in range(machine.n_states):
         lines.append(f'  s{s} [shape=circle, label="{s}"];')
-    for s in range(machine.n_states):
-        for x in range(1 << len(machine.inputs)):
-            target, output = machine.transitions[s][x]
-            label = (letter_label(in_table.letter_names(x)) + " / "
-                     + letter_label(out_table.letter_names(output)))
-            lines.append(f'  s{s} -> s{target} [label="{label}"];')
+    for s, row in enumerate(machine.transitions):
+        for x, (target, output) in enumerate(row):
+            lines.append(f'  s{s} -> s{target} [label="{on[x]}{out[output]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

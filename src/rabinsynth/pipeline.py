@@ -24,7 +24,7 @@ from .boolexpr import ApTable
 from .game import SynthesisGame, build_game
 from .hoa import parse_hoa
 from .ltl import ClassifiedConjunct, compile_pattern, normalize, parse_ltl
-from .mealy import MealyMachine
+from .mealy import MealyMachine, minimise
 from .graphs import find_max_colour_cycle
 from .product import (
     CapacityExceeded,
@@ -137,7 +137,7 @@ class SynthesisStats:
     product_states: int
     game_env_vertices: int
     game_system_vertices: int
-    machine_states: int
+    machine_states: int  # of the minimised machine; 0 if unrealizable
     colours_used: tuple[int, ...]
     solve_seconds: float
 
@@ -166,33 +166,36 @@ SynthesisOutcome = Union[Realizable, Unrealizable]
 
 
 def extract_mealy(game: SynthesisGame, solution: Solution) -> MealyMachine:
-    """Machine induced by the System strategy on its reachable winning slice."""
+    """The minimal machine of the System strategy on its reachable winning
+    slice: the slice is read off the strategy and the game's transition
+    array, then minimised."""
     if game.initial not in solution.system_region:
         raise NotRealizable("initial vertex is not winning for the System")
-    inputs = game.table.names[:game.input_bits]
-    outputs = game.table.names[game.input_bits:]
+    strategy = solution.system_strategy
+    transitions = game.transitions
+    bits = game.input_bits
     index = {game.initial: 0}
     order = [game.initial]
     rows: list[tuple[tuple[int, int], ...]] = []
-    for state_vertex in order:
+    for q in order:
+        middle = game.n_states + (q << bits)  # the System vertex of input 0
         row = []
         for x in range(game.n_inputs):
-            middle = game.env_move(state_vertex, x)
-            y = solution.system_strategy[middle]
-            target_vertex = game.system_move(middle, y)
+            y = strategy[middle + x]
+            target_vertex = transitions.item(q, x | y << bits)
             target = index.get(target_vertex)
             if target is None:
                 target = index[target_vertex] = len(order)
                 order.append(target_vertex)
             row.append((target, y))
         rows.append(tuple(row))
-    return MealyMachine(
-        inputs=inputs,
-        outputs=outputs,
+    return minimise(MealyMachine(
+        inputs=game.table.names[:bits],
+        outputs=game.table.names[bits:],
         n_states=len(order),
         initial=0,
         transitions=tuple(rows),
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -445,8 +448,8 @@ def synthesize(
 ) -> SynthesisOutcome:
     """Synthesize an implementation or produce an environment counterstrategy.
 
-    Every machine returned inside a :class:`Realizable` outcome has passed
-    :func:`verify_mealy` against the parity product; a verification failure
+    Every machine returned inside a :class:`Realizable` outcome is minimal and
+    has passed :func:`verify_mealy` against the parity product; a verification failure
     aborts with :class:`InternalCertificationFailure`.
     """
     if isinstance(problem, NormalizedSpec):

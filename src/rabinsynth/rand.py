@@ -1,9 +1,11 @@
 """Instances for differential and property testing: seeded random specs,
-games and lassos, and the n-client arbiter family."""
+games and lassos, and the n-client arbiter family; and a check, independent
+of the minimisation, that a machine has no two equivalent states."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .ltl import (
     normalize,
 )
 from .boolexpr import And, BoolExpr, Lit, Not, Or, Var
+from .mealy import MealyMachine
 from .pipeline import ConjunctSource, SpecProblem
 from .product import NormalizedSpec
 
@@ -196,3 +199,30 @@ def arbiter_problem(n: int, *, unrealizable: bool = False) -> SpecProblem:
         tuple(requests), tuple(grants),
         tuple(ConjunctSource(ltl=a) for a in assumptions),
         tuple(ConjunctSource(ltl=g) for g in guarantees))
+
+
+def distinguishable_pairs(machine: MealyMachine) -> set[tuple[int, int]]:
+    """The pairs ``(p, q)``, ``p < q``, of states that some input word makes
+    emit different outputs.
+
+    A breadth-first search over state pairs, backwards from the pairs whose
+    outputs differ on one input letter: a pair reaches such a pair on some
+    input word exactly when it is reached.  A machine is minimal iff every
+    pair of its states is returned."""
+    rows = machine.transitions
+    found: set[tuple[int, int]] = set()
+    into: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p in range(machine.n_states):
+        for q in range(p + 1, machine.n_states):
+            for (tp, yp), (tq, yq) in zip(rows[p], rows[q]):
+                if yp != yq:
+                    found.add((p, q))
+                elif tp != tq:
+                    into.setdefault((min(tp, tq), max(tp, tq)), []).append((p, q))
+    queue = deque(found)
+    while queue:
+        for pair in into.get(queue.popleft(), ()):
+            if pair not in found:
+                found.add(pair)
+                queue.append(pair)
+    return found

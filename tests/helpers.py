@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the code paths under test: lasso verdicts
 are computed by long-run simulation instead of boundary cycle detection,
-pattern semantics are decided by direct position analysis on the lasso, and
-parity games are solved by a FIFO worklist attractor over Python lists.
+pattern semantics are decided by direct position analysis on the lasso,
+parity games are solved by a FIFO worklist attractor over Python lists, and
+machine files are written with one ``json.dumps`` per transition.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import random
 from collections import deque
 
 from rabinsynth.automata import (
@@ -30,6 +33,7 @@ from rabinsynth.ltl import (
     Response,
     StateInit,
 )
+from rabinsynth.mealy import MealyMachine
 from rabinsynth.solvers import Solution
 
 
@@ -269,3 +273,96 @@ def reference_zielonka(game: SynthesisGame) -> Solution:
         system_strategy=dict(sorted(strategies[SYSTEM].items())),
         env_strategy=dict(sorted(strategies[ENVIRONMENT].items())),
     )
+
+
+def random_machine(
+    rng: random.Random,
+    *,
+    max_states: int = 8,
+    max_input_bits: int = 3,
+    max_output_bits: int = 3,
+) -> MealyMachine:
+    """Random total machine over 0 to ``max_input_bits`` input and 0 to
+    ``max_output_bits`` output propositions.  Its outputs come from at most
+    three letters, so that many states are equivalent, and states unreachable
+    from the initial one are kept."""
+    n_states = rng.randint(1, max_states)
+    inputs = tuple(f"i{k}" for k in range(rng.randint(0, max_input_bits)))
+    outputs = tuple(f"o{k}" for k in range(rng.randint(0, max_output_bits)))
+    letters = rng.sample(range(1 << len(outputs)), min(1 << len(outputs), rng.randint(1, 3)))
+    return MealyMachine(
+        inputs=inputs,
+        outputs=outputs,
+        n_states=n_states,
+        initial=rng.randrange(n_states),
+        transitions=tuple(
+            tuple((rng.randrange(n_states), rng.choice(letters))
+                  for _ in range(1 << len(inputs)))
+            for _ in range(n_states)),
+    )
+
+
+def machine_outputs(machine: MealyMachine, word: list[int]) -> list[int]:
+    """Output letters a machine emits from its initial state on a finite
+    input word."""
+    state = machine.initial
+    emitted = []
+    for x in word:
+        state, y = machine.transitions[state][x]
+        emitted.append(y)
+    return emitted
+
+
+def reference_machine_to_dict(machine: MealyMachine) -> dict:
+    """``machine_to_dict`` as first written: one ``letter_names`` decode per
+    transition."""
+    in_table = machine.input_table()
+    out_table = machine.output_table()
+    transitions = []
+    for s in range(machine.n_states):
+        for x in range(1 << len(machine.inputs)):
+            target, output = machine.transitions[s][x]
+            transitions.append({
+                "from": s,
+                "on": list(in_table.letter_names(x)),
+                "to": target,
+                "out": list(out_table.letter_names(output)),
+            })
+    return {
+        "inputs": list(machine.inputs),
+        "outputs": list(machine.outputs),
+        "states": machine.n_states,
+        "initial": machine.initial,
+        "transitions": transitions,
+    }
+
+
+def reference_machine_to_json(machine: MealyMachine) -> str:
+    """``machine_to_json`` as first written: one ``json.dumps`` per row."""
+    data = reference_machine_to_dict(machine)
+    rows = [json.dumps(t, separators=(",", ":")) for t in data.pop("transitions")]
+    header = json.dumps(data, separators=(",", ":"))[:-1]
+    return header + ',"transitions":[\n' + ",\n".join(rows) + "\n]}\n"
+
+
+def reference_machine_to_dot(machine: MealyMachine) -> str:
+    """``machine_to_dot`` as first written: labels decoded per transition."""
+    in_table = machine.input_table()
+    out_table = machine.output_table()
+
+    def letter_label(names: tuple[str, ...]) -> str:
+        return "{" + ",".join(names) + "}"
+
+    lines = ["digraph mealy {", "  rankdir=LR;",
+             '  init [shape=point, label=""];',
+             f"  init -> s{machine.initial};"]
+    for s in range(machine.n_states):
+        lines.append(f'  s{s} [shape=circle, label="{s}"];')
+    for s in range(machine.n_states):
+        for x in range(1 << len(machine.inputs)):
+            target, output = machine.transitions[s][x]
+            label = (letter_label(in_table.letter_names(x)) + " / "
+                     + letter_label(out_table.letter_names(output)))
+            lines.append(f'  s{s} -> s{target} [label="{label}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

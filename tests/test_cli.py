@@ -84,6 +84,7 @@ class TestSynth:
         captured = capsys.readouterr()
         assert "product states" in captured.err
         assert "product states" not in captured.out
+        assert "minimised machine states: " in captured.err
 
 
 class TestProduct:
@@ -115,6 +116,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "violation" in out
         assert "request" in out
+
+
+    def test_machine_with_a_huge_state_count_exits_two(self, tmp_path, capsys):
+        machine_path = tmp_path / "machine.json"
+        machine_path.write_text(json.dumps({
+            "inputs": ["request"], "outputs": ["grant"],
+            "states": 1000000000, "initial": 0, "transitions": [],
+        }), encoding="utf-8")
+        assert run(["verify", corpus("arbiter.json"), str(machine_path)]) == 2
+        assert "transitions" in capsys.readouterr().err
 
 
 class TestOracleTest:

@@ -11,9 +11,12 @@ from rabinsynth.game import build_game
 from rabinsynth.ltl import compile_pattern, parse_ltl
 from rabinsynth.mealy import (
     MealyMachine,
+    machine_from_dict,
     machine_from_json,
+    machine_to_dict,
     machine_to_dot,
     machine_to_json,
+    minimise,
 )
 from rabinsynth.pipeline import (
     CapacityExceeded,
@@ -31,10 +34,18 @@ from rabinsynth.pipeline import (
     verify_mealy,
 )
 from rabinsynth.product import NormalizedSpec, build_product
-from rabinsynth.rand import random_normalized_spec
+from rabinsynth.rand import arbiter_problem, distinguishable_pairs, random_normalized_spec
 from rabinsynth.solvers import solve_zielonka
 
-from helpers import all_lassos, induced_lasso
+from helpers import (
+    all_lassos,
+    induced_lasso,
+    machine_outputs,
+    random_machine,
+    reference_machine_to_dict,
+    reference_machine_to_dot,
+    reference_machine_to_json,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 REALIZABLE_CORPUS = (
@@ -219,6 +230,88 @@ class TestExtract:
             assert len(row) == 2
 
 
+def is_minimal(machine: MealyMachine) -> bool:
+    n = machine.n_states
+    return len(distinguishable_pairs(machine)) == n * (n - 1) // 2
+
+
+def reachable_states(machine: MealyMachine) -> set[int]:
+    seen = {machine.initial}
+    stack = [machine.initial]
+    while stack:
+        for target, _ in machine.transitions[stack.pop()]:
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
+def side_by_side(first: MealyMachine, second: MealyMachine) -> MealyMachine:
+    """Both machines as one, the second's states after the first's."""
+    shifted = tuple(tuple((t + first.n_states, y) for t, y in row)
+                    for row in second.transitions)
+    return dataclasses.replace(
+        first, n_states=first.n_states + second.n_states,
+        transitions=first.transitions + shifted)
+
+
+class TestMinimise:
+    def test_corpus_and_arbiter_machines_are_minimal(self):
+        problems = [load_problem(name) for name in REALIZABLE_CORPUS]
+        problems += [arbiter_problem(2), arbiter_problem(3)]
+        for problem in problems:
+            outcome = synthesize(problem)
+            assert isinstance(outcome, Realizable)
+            assert is_minimal(outcome.machine), problem.guarantees
+
+    @pytest.mark.parametrize("n, states", [(2, 21), (3, 69)])
+    def test_arbiter_machine_sizes(self, n, states):
+        outcome = synthesize(arbiter_problem(n))
+        assert outcome.machine.n_states == states
+        assert outcome.stats.machine_states == states
+
+    def test_random_spec_machines_are_minimal(self):
+        rng = random.Random(8)
+        realizable = 0
+        for _ in range(240):
+            outcome = synthesize(random_normalized_spec(rng))
+            if isinstance(outcome, Realizable):
+                realizable += 1
+                assert is_minimal(outcome.machine)
+        assert realizable >= 100
+
+    def test_preserves_behaviour_on_random_machines(self):
+        rng = random.Random(3)
+        shrunk = unreachable = no_inputs = single = 0
+        for _ in range(400):
+            machine = random_machine(rng)
+            small = minimise(machine)
+            n_inputs = 1 << len(machine.inputs)
+            for _ in range(10):
+                word = [rng.randrange(n_inputs) for _ in range(rng.randint(0, 16))]
+                assert machine_outputs(small, word) == machine_outputs(machine, word)
+            # exact: the two initial states are equivalent in the joint machine
+            joint = side_by_side(machine, small)
+            assert (machine.initial, machine.n_states + small.initial) not in (
+                distinguishable_pairs(joint))
+            assert is_minimal(small)
+            assert reachable_states(small) == set(range(small.n_states))
+            assert minimise(small) == small
+            shrunk += small.n_states < len(reachable_states(machine))
+            unreachable += len(reachable_states(machine)) < machine.n_states
+            no_inputs += not machine.inputs
+            single += machine.n_states == 1
+        assert min(shrunk, unreachable, no_inputs, single) >= 20
+
+    def test_keeps_a_minimal_machine_and_numbers_it_breadth_first(self):
+        # 0 -a-> 2, 0 -b-> 1: renumbered so that the a-successor comes first
+        machine = MealyMachine(
+            inputs=("b",), outputs=("g",), n_states=3, initial=0,
+            transitions=(((2, 0), (1, 1)), ((1, 1), (0, 0)), ((0, 1), (0, 0))))
+        assert minimise(machine).transitions == (
+            ((1, 0), (2, 1)), ((0, 1), (0, 0)), ((2, 1), (0, 0)))
+
+
 class TestVerify:
     def constant_machine(self, output: int) -> MealyMachine:
         return MealyMachine(
@@ -397,6 +490,62 @@ class TestMachineSerialisation:
         }
         with pytest.raises(ValueError):
             machine_from_json(json.dumps(data))
+
+    def test_matches_the_per_row_reference(self):
+        # proposition names out of alphabetical order, so that a letter's
+        # sorted names differ from its bit order
+        rng = random.Random(5)
+        shapes = set()
+        for _ in range(300):
+            machine = random_machine(rng, max_states=4)
+            machine = dataclasses.replace(
+                machine,
+                inputs=("zi", "ai", "mi")[:len(machine.inputs)],
+                outputs=("yo", "bo", "ko")[:len(machine.outputs)])
+            shapes.add((len(machine.inputs), len(machine.outputs)))
+            assert machine_to_json(machine) == reference_machine_to_json(machine)
+            assert machine_to_dict(machine) == reference_machine_to_dict(machine)
+            assert machine_to_dot(machine) == reference_machine_to_dot(machine)
+        assert len(shapes) == 16
+
+    def test_synthesized_machine_matches_the_per_row_reference(self):
+        machine = synthesize(load_problem("robust_mutex.json")).machine
+        assert machine_to_json(machine) == reference_machine_to_json(machine)
+        assert json.dumps(machine_to_dict(machine), indent=2) == json.dumps(
+            reference_machine_to_dict(machine), indent=2)
+
+    def test_huge_state_count_is_refused_before_allocating(self):
+        import tracemalloc
+
+        data = {"inputs": ["r"], "outputs": ["g"], "states": 10 ** 12,
+                "initial": 0, "transitions": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="transitions"):
+                machine_from_dict(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("field, value", [
+        ("states", True), ("states", "1"), ("initial", 0.0), ("from", 0.7),
+        ("to", False), ("on", "r"), ("out", None), ("transitions", {}),
+        ("on", ["r", "r"]), ("on", [1]), ("out", ["r"]),
+    ])
+    def test_malformed_fields_are_value_errors(self, field, value):
+        data = {
+            "inputs": ["r"], "outputs": ["g"], "states": 1, "initial": 0,
+            "transitions": [{"from": 0, "on": [], "to": 0, "out": []},
+                            {"from": 0, "on": ["r"], "to": 0, "out": ["g"]}],
+        }
+        machine_from_dict(data)  # well-formed as given
+        if field in data:
+            data[field] = value
+        else:
+            data["transitions"][1][field] = value
+        with pytest.raises(ValueError):
+            machine_from_dict(data)
 
     def test_dot_mirrors_transitions(self):
         outcome = synthesize(load_problem("arbiter.json"))
