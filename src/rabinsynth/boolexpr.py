@@ -28,7 +28,7 @@ class ApTable:
         object.__setattr__(self, "names", tuple(self.names))
         seen: set[str] = set()
         for name in self.names:
-            if not _NAME_RE.match(name):
+            if not (isinstance(name, str) and _NAME_RE.match(name)):
                 raise ValueError(f"invalid proposition name: {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate proposition name: {name!r}")
