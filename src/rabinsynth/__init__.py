@@ -24,7 +24,6 @@ from .boolexpr import ApTable
 from .game import SynthesisGame, build_game, game_debug_dump
 from .hoa import HoaError, UnsupportedFeature, emit_hoa, parse_hoa
 from .ltl import (
-    ClassifiedConjunct,
     UnsupportedAcceptance,
     UnsupportedFragment,
     compile_pattern,
@@ -73,7 +72,6 @@ __all__ = [
     "ApTable",
     "Buchi",
     "CapacityExceeded",
-    "ClassifiedConjunct",
     "CoBuchi",
     "ConjunctSource",
     "DifferentialReport",

@@ -13,6 +13,10 @@ from typing import Iterable, Iterator
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+#: Most propositions one table may name: every guard pass walks all
+#: ``2 ** size`` letters, and the time and memory double with each name.
+MAX_PROPOSITIONS = 20
+
 
 @dataclass(frozen=True)
 class ApTable:
@@ -26,6 +30,9 @@ class ApTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
+        if len(self.names) > MAX_PROPOSITIONS:
+            raise ValueError(f"{len(self.names)} propositions exceed the limit of "
+                             f"{MAX_PROPOSITIONS}")
         seen: set[str] = set()
         for name in self.names:
             if not (isinstance(name, str) and _NAME_RE.match(name)):

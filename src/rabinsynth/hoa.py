@@ -28,8 +28,7 @@ from .automata import (
     OnePairRabin,
     Parity,
     Safety,
-    ValidationError,
-    validate,
+    transition_table,
 )
 from .boolexpr import (
     And,
@@ -233,12 +232,9 @@ class _GuardParser:
         raise AssertionError  # unreachable
 
 
-def _guard_text(expr: BoolExpr, table: ApTable) -> str:
-    """Render a guard using only ``t ! & |``, parentheses and AP indices."""
-    return _guard_fmt(expr, 0, table)
-
-
 def _guard_fmt(expr: BoolExpr, min_level: int, table: ApTable) -> str:
+    """Render a guard using only ``t ! & |``, parentheses and AP indices;
+    parenthesised if it binds more loosely than ``min_level``."""
     match expr:
         case Lit(value):
             return "t" if value else "!t"
@@ -306,7 +302,7 @@ def emit_hoa(aut: OmegaAutomaton, table: ApTable) -> str:
         suffix = " {" + " ".join(map(str, membership)) + "}" if membership else ""
         lines.append(f"State: {s}{suffix}")
         for guard, target in aut.edges[s]:
-            lines.append(f"[{_guard_text(guard, table)}] {target}")
+            lines.append(f"[{_guard_fmt(guard, 0, table)}] {target}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -372,9 +368,7 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
 
     acc_name, acc_line = headers["acc-name"]
     n_colours = None
-    if acc_name in ("Buchi", "co-Buchi", "Rabin 1", "safety"):
-        pass
-    else:
+    if acc_name not in _CANONICAL_ACCEPTANCE:
         m = re.fullmatch(r"parity max even (\d+)", acc_name)
         if not m:
             raise UnsupportedFeature(acc_name, acc_line)
@@ -416,6 +410,8 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
             if not m:
                 raise HoaError(f"bad state line {line!r}", line_no)
             current = int(m.group(1))
+            if current >= n_states:
+                raise HoaError(f"state {current} out of range", line_no)
             if current in edges:
                 raise HoaError(f"duplicate block for state {current}", line_no)
             edges[current] = []
@@ -438,9 +434,10 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
             raise HoaError(f"unexpected body line {line!r}", line_no)
     if not end_seen:
         raise HoaError("missing --END-- marker")
-    if set(edges) != set(range(n_states)):
-        missing = sorted(set(range(n_states)) - set(edges))
-        raise HoaError(f"missing state blocks for {missing}")
+    if len(edges) < n_states:  # every block names a distinct state below n_states
+        first = next(s for s in range(n_states) if s not in edges)
+        raise HoaError(
+            f"missing {n_states - len(edges)} state blocks, the first for state {first}")
 
     def in_set(k: int) -> frozenset[int]:
         return frozenset(s for s in range(n_states) if k in memberships[s])
@@ -475,9 +472,7 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
                     (edges[s] for s in range(n_states))),
         acceptance=acceptance,
     )
-    issues = validate(aut, table)
-    if issues:
-        raise ValidationError(issues)
+    transition_table(aut, table)
     return aut, table
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Union
 
 from .automata import (
     Buchi,
@@ -379,23 +379,7 @@ def compile_pattern(pattern: PatternFormula, table: ApTable) -> OmegaAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# conjunct classification
-
-
-Role = Literal["assumption", "guarantee"]
-Kind = Literal["buchi", "cobuchi"]
-
-
-@dataclass(frozen=True)
-class ClassifiedConjunct:
-    automaton: OmegaAutomaton
-    role: Role
-    kind: Kind
-
-    def __post_init__(self) -> None:
-        expected = Buchi if self.kind == "buchi" else CoBuchi
-        if not isinstance(self.automaton.acceptance, expected):
-            raise ValueError("conjunct kind does not match the acceptance tag")
+# conjunct normalisation
 
 
 def failure_sinks(aut: OmegaAutomaton, table: ApTable) -> frozenset[int]:
@@ -410,7 +394,7 @@ def failure_sinks(aut: OmegaAutomaton, table: ApTable) -> frozenset[int]:
     return frozenset(s for s, row in enumerate(rows) if all(t == s for t in row))
 
 
-def normalize(aut: OmegaAutomaton, role: Role, table: ApTable) -> list[ClassifiedConjunct]:
+def normalize(aut: OmegaAutomaton, table: ApTable) -> list[OmegaAutomaton]:
     """Express one conjunct through Buchi/co-Buchi conjuncts of equal language.
 
     Safety automata become Buchi automata accepting everywhere outside their
@@ -420,20 +404,13 @@ def normalize(aut: OmegaAutomaton, role: Role, table: ApTable) -> list[Classifie
     acc = aut.acceptance
     if isinstance(acc, Safety):
         sinks = failure_sinks(aut, table)
-        buchi = OmegaAutomaton(
+        return [OmegaAutomaton(
             aut.n_states, aut.initial, aut.edges,
-            Buchi(frozenset(range(aut.n_states)) - sinks))
-        return [ClassifiedConjunct(buchi, role, "buchi")]
-    if isinstance(acc, Buchi):
-        return [ClassifiedConjunct(aut, role, "buchi")]
-    if isinstance(acc, CoBuchi):
-        return [ClassifiedConjunct(aut, role, "cobuchi")]
+            Buchi(frozenset(range(aut.n_states)) - sinks))]
+    if isinstance(acc, (Buchi, CoBuchi)):
+        return [aut]
     if isinstance(acc, OnePairRabin):
-        co, bu = decompose_rabin(aut)
-        return [
-            ClassifiedConjunct(co, role, "cobuchi"),
-            ClassifiedConjunct(bu, role, "buchi"),
-        ]
+        return list(decompose_rabin(aut))
     raise UnsupportedAcceptance(
         f"conjuncts must be one of {[k.__name__ for k in CONJUNCT_KINDS]}, "
         f"got {type(acc).__name__}")

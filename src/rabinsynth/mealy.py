@@ -89,18 +89,8 @@ def _json_names(names: tuple[str, ...]) -> str:
 
 
 def machine_to_dict(machine: MealyMachine) -> dict:
-    in_names, out_names = _letter_names(machine)
-    return {
-        "inputs": list(machine.inputs),
-        "outputs": list(machine.outputs),
-        "states": machine.n_states,
-        "initial": machine.initial,
-        "transitions": [
-            {"from": s, "on": list(in_names[x]), "to": target,
-             "out": list(out_names[output])}
-            for s, row in enumerate(machine.transitions)
-            for x, (target, output) in enumerate(row)],
-    }
+    """The machine document :func:`machine_to_json` writes, as a dict."""
+    return json.loads(machine_to_json(machine))
 
 
 def machine_to_json(machine: MealyMachine) -> str:

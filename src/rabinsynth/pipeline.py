@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -20,10 +20,10 @@ import numpy as np
 
 from .automata import (
     Buchi, Lasso, OmegaAutomaton, Parity, accepts_inf, eval_lasso, infinity_set)
-from .boolexpr import ApTable
+from .boolexpr import ApTable, free_names
 from .game import SynthesisGame, build_game
 from .hoa import parse_hoa
-from .ltl import ClassifiedConjunct, compile_pattern, normalize, parse_ltl
+from .ltl import compile_pattern, normalize, parse_ltl
 from .mealy import MealyMachine, minimise
 from .graphs import find_max_colour_cycle
 from .product import (
@@ -31,7 +31,6 @@ from .product import (
     NormalizedSpec,
     ParityAutomaton,
     build_product,
-    DEFAULT_STATE_LIMIT,
 )
 from .solvers import Solution, solve_zielonka
 
@@ -76,15 +75,6 @@ class SpecProblem:
     guarantees: tuple[ConjunctSource, ...]
 
 
-def _pattern_names(pattern) -> set[str]:
-    from .boolexpr import free_names
-    from .ltl import NextResponse, Response
-
-    if isinstance(pattern, (NextResponse, Response)):
-        return set(free_names(pattern.trigger)) | set(free_names(pattern.reaction))
-    return set(free_names(pattern.condition))
-
-
 def _conjunct_automata(
     source: ConjunctSource,
     table: ApTable,
@@ -92,7 +82,9 @@ def _conjunct_automata(
     if source.ltl is not None:
         patterns = parse_ltl(source.ltl)
         for pattern in patterns:
-            unknown = sorted(n for n in _pattern_names(pattern) if n not in table)
+            unknown = sorted({n for field in fields(pattern)
+                              for n in free_names(getattr(pattern, field.name))
+                              if n not in table})
             if unknown:
                 raise NormalizationError(
                     f"formula uses propositions outside the problem: {unknown}")
@@ -109,23 +101,26 @@ def _conjunct_automata(
 
 
 def normalize_problem(problem: SpecProblem) -> NormalizedSpec:
-    """Resolve all conjunct sources and classify them into the four sets."""
+    """Resolve all conjunct sources and sort them into the four sets."""
     if set(problem.inputs) & set(problem.outputs):
         raise NormalizationError("input and output propositions must be disjoint")
     table = ApTable(tuple(problem.inputs) + tuple(problem.outputs))
-    classified: list[ClassifiedConjunct] = []
-    for role, sources in (("assumption", problem.assumptions),
-                          ("guarantee", problem.guarantees)):
+
+    def side(role: str, sources: Iterable[ConjunctSource]) -> list[OmegaAutomaton]:
+        normalised = []
         for source in sources:
             try:
-                automata = _conjunct_automata(source, table)
-                for aut in automata:
-                    classified.extend(normalize(aut, role, table))  # type: ignore[arg-type]
+                for aut in _conjunct_automata(source, table):
+                    normalised.extend(normalize(aut, table))
             except NormalizationError:
                 raise
             except Exception as exc:
                 raise NormalizationError(f"bad {role} conjunct: {exc}") from exc
-    return NormalizedSpec.from_classified(problem.inputs, problem.outputs, classified)
+        return normalised
+
+    return NormalizedSpec.from_conjuncts(
+        problem.inputs, problem.outputs,
+        side("assumption", problem.assumptions), side("guarantee", problem.guarantees))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +318,6 @@ def differential_test(
     max_loop: int,
     *,
     max_aps: int = 3,
-    state_limit: int = DEFAULT_STATE_LIMIT,
 ) -> DifferentialReport:
     """Compare product verdicts against the conjunct oracle on every lasso
     with stem length up to ``max_stem`` and loop length up to ``max_loop``.
@@ -342,7 +336,7 @@ def differential_test(
             f"differential enumeration is limited to {max_aps} propositions")
     if len(spec.components) > 58:
         raise CapacityExceeded("too many conjuncts for packed signatures")
-    pa = build_product(spec, state_limit=state_limit)
+    pa = build_product(spec)
     n = pa.n_states
     n_letters = pa.table.n_letters
     # int32 index arrays would be converted on every gather below
@@ -361,7 +355,7 @@ def differential_test(
         signature[s] = bits
     # bit j of (cycle bits >> 5) ^ flip is set iff conjunct j accepts
     flip = sum(1 << j for j, (is_buchi, _) in enumerate(conjuncts) if not is_buchi)
-    assumed = (1 << spec.n_buchi_assumptions + spec.n_cobuchi_assumptions) - 1
+    assumed = (1 << len(spec.buchi_assumptions) + len(spec.cobuchi_assumptions)) - 1
     guaranteed = (1 << len(conjuncts)) - 1 - assumed
 
     # distinct end states of all stems, with multiplicities
@@ -441,22 +435,15 @@ def _constant_machine(spec: NormalizedSpec) -> MealyMachine:
     )
 
 
-def synthesize(
-    problem: SpecProblem | NormalizedSpec,
-    *,
-    state_limit: int = DEFAULT_STATE_LIMIT,
-) -> SynthesisOutcome:
+def synthesize(problem: SpecProblem | NormalizedSpec) -> SynthesisOutcome:
     """Synthesize an implementation or produce an environment counterstrategy.
 
     Every machine returned inside a :class:`Realizable` outcome is minimal and
     has passed :func:`verify_mealy` against the parity product; a verification failure
     aborts with :class:`InternalCertificationFailure`.
     """
-    if isinstance(problem, NormalizedSpec):
-        spec = problem
-    else:
-        spec = normalize_problem(problem)
-    pa = build_product(spec, state_limit=state_limit)
+    spec = problem if isinstance(problem, NormalizedSpec) else normalize_problem(problem)
+    pa = build_product(spec)
     game = build_game(pa, spec.inputs, spec.outputs)
     started = time.perf_counter()
     solution = solve_zielonka(game)

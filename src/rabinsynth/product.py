@@ -1,4 +1,4 @@
-"""Parity product of classified Buchi/co-Buchi conjuncts.
+"""Parity product of normalised Buchi/co-Buchi conjuncts.
 
 The product runs every conjunct automaton in parallel and adds a small control
 structure: a round-robin counter over the Buchi assumptions, one over the
@@ -39,7 +39,6 @@ from .automata import (
 )
 from .boolexpr import ApTable
 from .hoa import automaton_from_letter_table
-from .ltl import ClassifiedConjunct
 
 
 class CapacityExceeded(Exception):
@@ -51,7 +50,7 @@ DEFAULT_STATE_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class NormalizedSpec:
-    """Implication-shaped specification with classified conjunct automata.
+    """Implication-shaped specification with normalised conjunct automata.
 
     All automata must be valid over the joint proposition table (inputs first,
     then outputs); assumptions and guarantees are given as deterministic Buchi
@@ -66,25 +65,22 @@ class NormalizedSpec:
     cobuchi_guarantees: tuple[OmegaAutomaton, ...]
 
     @classmethod
-    def from_classified(
+    def from_conjuncts(
         cls,
         inputs: Iterable[str],
         outputs: Iterable[str],
-        conjuncts: Sequence[ClassifiedConjunct],
+        assumptions: Sequence[OmegaAutomaton],
+        guarantees: Sequence[OmegaAutomaton],
     ) -> NormalizedSpec:
-        """Sort classified conjuncts into the four sets, keeping their order."""
-        def pick(role: str, kind: str) -> tuple[OmegaAutomaton, ...]:
-            return tuple(c.automaton for c in conjuncts
-                         if c.role == role and c.kind == kind)
+        """Sort each side's normalised conjuncts by acceptance class, keeping
+        their order.  Whatever is not Buchi lands in a co-Buchi set, where
+        :func:`validate_normalized` refuses it unless it is co-Buchi."""
+        def pick(automata: Sequence[OmegaAutomaton], buchi: bool) -> tuple:
+            return tuple(a for a in automata if isinstance(a.acceptance, Buchi) == buchi)
 
-        return cls(
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            buchi_assumptions=pick("assumption", "buchi"),
-            cobuchi_assumptions=pick("assumption", "cobuchi"),
-            buchi_guarantees=pick("guarantee", "buchi"),
-            cobuchi_guarantees=pick("guarantee", "cobuchi"),
-        )
+        return cls(tuple(inputs), tuple(outputs),
+                   pick(assumptions, True), pick(assumptions, False),
+                   pick(guarantees, True), pick(guarantees, False))
 
     def table(self) -> ApTable:
         return ApTable(tuple(self.inputs) + tuple(self.outputs))
@@ -93,18 +89,6 @@ class NormalizedSpec:
     def components(self) -> tuple[OmegaAutomaton, ...]:
         return (self.buchi_assumptions + self.cobuchi_assumptions
                 + self.buchi_guarantees + self.cobuchi_guarantees)
-
-    @property
-    def n_buchi_assumptions(self) -> int:
-        return len(self.buchi_assumptions)
-
-    @property
-    def n_cobuchi_assumptions(self) -> int:
-        return len(self.cobuchi_assumptions)
-
-    @property
-    def n_buchi_guarantees(self) -> int:
-        return len(self.buchi_guarantees)
 
 
 def validate_normalized(spec: NormalizedSpec) -> tuple[ApTable, list[list[list[int]]]]:
@@ -213,14 +197,14 @@ def colour_of(state: ProductState, spec: NormalizedSpec) -> int:
     """
     if state.region == ASSUMPTION_DEAD:
         return 0
-    n1 = spec.n_buchi_assumptions
+    n1 = len(spec.buchi_assumptions)
     comps = state.components
     for j, aut in enumerate(spec.cobuchi_assumptions):
         if comps[n1 + j] in aut.acceptance.rejecting:
             return 4
     if state.region == LIVE:
         if state.assumptions_serviced:
-            base = n1 + spec.n_cobuchi_assumptions + spec.n_buchi_guarantees
+            base = n1 + len(spec.cobuchi_assumptions) + len(spec.buchi_guarantees)
             for j, aut in enumerate(spec.cobuchi_guarantees):
                 if comps[base + j] in aut.acceptance.rejecting:
                     return 3
@@ -249,13 +233,12 @@ class ParityAutomaton:
     transitions: np.ndarray
     colours: tuple[int, ...]
     states: tuple[ProductState, ...]
-    spec: NormalizedSpec
 
 
 def raw_product_bound(spec: NormalizedSpec) -> int:
     """Size of the unrestricted product state space, with a counter slot for
     every Buchi conjunct: an upper bound on the reachable product."""
-    bound = (spec.n_buchi_assumptions + 1) * (spec.n_buchi_guarantees + 1) * 2
+    bound = (len(spec.buchi_assumptions) + 1) * (len(spec.buchi_guarantees) + 1) * 2
     for aut in spec.components:
         bound *= aut.n_states
     return bound
@@ -281,9 +264,9 @@ def build_product(
     table, component_tables = validate_normalized(spec)
     components = spec.components
     k = len(components)
-    n1 = spec.n_buchi_assumptions
-    na = n1 + spec.n_cobuchi_assumptions
-    n3 = spec.n_buchi_guarantees
+    n1 = len(spec.buchi_assumptions)
+    na = n1 + len(spec.cobuchi_assumptions)
+    n3 = len(spec.buchi_guarantees)
     sinks = [_losing_sinks(aut, rows) for aut, rows in zip(components, component_tables)]
     counted_a = [j for j in range(n1) if _takes_counter_slot(components[j], sinks[j])]
     counted_g = [j for j in range(na, na + n3)
@@ -382,7 +365,6 @@ def build_product(
         transitions=transitions,
         colours=tuple(colour_of(state, spec) for state in states),
         states=tuple(states),
-        spec=spec,
     )
 
 

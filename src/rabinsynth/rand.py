@@ -100,7 +100,7 @@ def random_normalized_spec(
     """Random specification over up to three propositions.
 
     Conjuncts mix compiled patterns with random automata of every supported
-    acceptance kind and are classified through the normal frontend path.
+    acceptance kind and are normalised through the normal frontend path.
     """
     n_inputs = rng.randrange(1, 3)
     n_outputs = rng.randrange(1, 4 - n_inputs)
@@ -115,8 +115,8 @@ def random_normalized_spec(
         automaton_kinds = ("buchi", "cobuchi", "rabin", "safety")
         pattern_kinds = None
 
-    classified = []
-    for role in ("assumption", "guarantee"):
+    sides: list[list[OmegaAutomaton]] = [[], []]
+    for normalised in sides:
         for _ in range(rng.randrange(max_conjuncts_per_side + 1)):
             if rng.random() < 0.5:
                 pattern = random_pattern(rng, table.names)
@@ -128,8 +128,8 @@ def random_normalized_spec(
                 aut = random_letter_automaton(
                     rng, table, rng.randrange(2, max_component_states + 1),
                     rng.choice(automaton_kinds))
-            classified.extend(normalize(aut, role, table))
-    return NormalizedSpec.from_classified(inputs, outputs, classified)
+            normalised.extend(normalize(aut, table))
+    return NormalizedSpec.from_conjuncts(inputs, outputs, *sides)
 
 
 def random_game(

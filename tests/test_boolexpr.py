@@ -63,6 +63,11 @@ class TestApTable:
         with pytest.raises(KeyError):
             ApTable(("a",)).letter(["b"])
 
+    def test_rejects_more_than_twenty_names(self):
+        ApTable(tuple(f"p{k}" for k in range(20)))
+        with pytest.raises(ValueError, match="limit of 20"):
+            ApTable(tuple(f"p{k}" for k in range(21)))
+
 
 class TestEvaluate:
     def test_connectives(self):

@@ -68,6 +68,34 @@ class TestParse:
             parse_hoa(text)
         assert err.value.line == 9
 
+    def test_state_block_out_of_range_is_refused_at_its_line(self):
+        text = MINIMAL_BUCHI.replace("[t] 0\n", "[t] 0\nState: 1\n[t] 0\n")
+        with pytest.raises(HoaError) as err:
+            parse_hoa(text)
+        assert err.value.line == 10
+
+    def test_missing_blocks_are_reported_without_listing_them(self):
+        import tracemalloc
+
+        text = MINIMAL_BUCHI.replace("States: 1", "States: 2000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(HoaError) as err:
+                parse_hoa(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(str(err.value)) < 200
+        assert "the first for state 1" in str(err.value)
+
+    def test_more_than_twenty_propositions_are_refused_at_the_ap_line(self):
+        names = " ".join(f'"p{k}"' for k in range(21))
+        text = MINIMAL_BUCHI.replace('AP: 1 "p"', f"AP: 21 {names}")
+        with pytest.raises(HoaError) as err:
+            parse_hoa(text)
+        assert err.value.line == 4
+
     def test_rabin_sets_orientation(self):
         text = """\
 HOA: v1

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rabinsynth.automata import Buchi, Parity, Safety, eval_lasso, validate
+from rabinsynth.automata import Buchi, CoBuchi, Parity, Safety, eval_lasso, validate
 from rabinsynth.boolexpr import And, ApTable, Implies, Not, Or, Var
 from rabinsynth.ltl import (
     Always,
@@ -182,35 +182,33 @@ class TestNormalize:
     def test_rabin_splits_into_both_kinds(self):
         rng = random.Random(3)
         aut = random_letter_automaton(rng, PQ, 3, "rabin")
-        parts = normalize(aut, "assumption", PQ)
-        assert [c.kind for c in parts] == ["cobuchi", "buchi"]
-        assert all(c.role == "assumption" for c in parts)
+        parts = normalize(aut, PQ)
+        assert [type(c.acceptance) for c in parts] == [CoBuchi, Buchi]
 
     def test_buchi_passes_through(self):
         rng = random.Random(4)
         aut = random_letter_automaton(rng, PQ, 3, "buchi")
-        [conjunct] = normalize(aut, "guarantee", PQ)
-        assert conjunct.kind == "buchi"
-        assert conjunct.automaton is aut
+        [conjunct] = normalize(aut, PQ)
+        assert isinstance(conjunct.acceptance, Buchi)
+        assert conjunct is aut
 
     def test_safety_accepting_set_excludes_sink(self):
         aut = compile_pattern(Always(Var("p")), PQ)
         safety = as_safety(aut)
-        [conjunct] = normalize(safety, "guarantee", PQ)
-        assert conjunct.kind == "buchi"
-        assert conjunct.automaton.acceptance == Buchi(frozenset({0}))
+        [conjunct] = normalize(safety, PQ)
+        assert conjunct.acceptance == Buchi(frozenset({0}))
 
     def test_safety_language_is_sink_avoidance(self):
         rng = random.Random(8)
         for _ in range(40):
             aut = random_letter_automaton(rng, PQ, 3, "safety")
-            [conjunct] = normalize(aut, "guarantee", PQ)
+            [conjunct] = normalize(aut, PQ)
             tt = letter_table(aut, PQ)
             sinks = frozenset(
                 s for s in range(aut.n_states)
                 if all(t == s for t in tt[s]))
             for lasso in all_lassos(PQ, 1, 2):
-                assert eval_lasso(conjunct.automaton, lasso, PQ) == never_enters(
+                assert eval_lasso(conjunct, lasso, PQ) == never_enters(
                     tt, aut.initial, lasso, sinks)
 
     def test_normalize_preserves_language(self):
@@ -218,10 +216,10 @@ class TestNormalize:
         for _ in range(60):
             kind = rng.choice(("buchi", "cobuchi", "rabin"))
             aut = random_letter_automaton(rng, PQ, 3, kind)
-            parts = normalize(aut, "guarantee", PQ)
+            parts = normalize(aut, PQ)
             for lasso in all_lassos(PQ, 1, 2):
                 whole = eval_lasso(aut, lasso, PQ)
-                split = all(eval_lasso(c.automaton, lasso, PQ) for c in parts)
+                split = all(eval_lasso(c, lasso, PQ) for c in parts)
                 assert whole == split
 
     def test_parity_is_rejected(self):
@@ -230,7 +228,7 @@ class TestNormalize:
 
         parity = replace(aut, acceptance=Parity((0, 1), 2))
         with pytest.raises(UnsupportedAcceptance):
-            normalize(parity, "guarantee", PQ)
+            normalize(parity, PQ)
 
 
 def as_safety(aut):

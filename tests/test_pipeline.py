@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from rabinsynth.automata import Lasso, eval_lasso
-from rabinsynth.boolexpr import ApTable
+from rabinsynth.automata import (
+    Buchi, Lasso, OmegaAutomaton, OnePairRabin, Safety, decompose_rabin, eval_lasso)
+from rabinsynth.boolexpr import ApTable, Lit, Not, Var
 from rabinsynth.game import build_game
+from rabinsynth.hoa import emit_hoa, parse_hoa
 from rabinsynth.ltl import compile_pattern, parse_ltl
 from rabinsynth.mealy import (
     MealyMachine,
@@ -65,6 +67,53 @@ def gf_spec() -> NormalizedSpec:
         ("r",), ("g",),
         (compile_pattern(parse_ltl("GF r")[0], table),), (),
         (compile_pattern(parse_ltl("GF g")[0], table),), ())
+
+
+def two_state_hoa(name: str, acceptance) -> str:
+    """A document over one proposition: state 0 stays while it holds, state 1
+    absorbs."""
+    p = Var(name)
+    aut = OmegaAutomaton(2, 0, (((p, 0), (Not(p), 1)), ((Lit(True), 1),)), acceptance)
+    return emit_hoa(aut, ApTable((name,)))
+
+
+class TestNormalizeProblem:
+    def test_each_set_keeps_source_order(self):
+        # the product's component order, and so its state numbering, is the
+        # order of each set
+        rabin = OnePairRabin(persistent=frozenset({0}), recurrent=frozenset({0}))
+        rabin_b, rabin_x = two_state_hoa("b", rabin), two_state_hoa("x", rabin)
+        safety_b, safety_y = two_state_hoa("b", Safety()), two_state_hoa("y", Safety())
+        problem = SpecProblem(
+            ("a", "b"), ("x", "y"),
+            (ConjunctSource(ltl="G F a"), ConjunctSource(hoa=rabin_b),
+             ConjunctSource(ltl="F G a"), ConjunctSource(hoa=safety_b),
+             ConjunctSource(ltl="G F b")),
+            (ConjunctSource(ltl="F G x"), ConjunctSource(hoa=safety_y),
+             ConjunctSource(ltl="G F y"), ConjunctSource(hoa=rabin_x),
+             ConjunctSource(ltl="F G y")))
+        table = ApTable(("a", "b", "x", "y"))
+
+        def ltl(text):
+            return compile_pattern(parse_ltl(text)[0], table)
+
+        def safe(text):
+            return dataclasses.replace(parse_hoa(text)[0], acceptance=Buchi(frozenset({0})))
+
+        rabin_b_co, rabin_b_bu = decompose_rabin(parse_hoa(rabin_b)[0])
+        rabin_x_co, rabin_x_bu = decompose_rabin(parse_hoa(rabin_x)[0])
+        spec = normalize_problem(problem)
+        assert spec.buchi_assumptions == (
+            ltl("G F a"), rabin_b_bu, safe(safety_b), ltl("G F b"))
+        assert spec.cobuchi_assumptions == (rabin_b_co, ltl("F G a"))
+        assert spec.buchi_guarantees == (safe(safety_y), ltl("G F y"), rabin_x_bu)
+        assert spec.cobuchi_guarantees == (ltl("F G x"), rabin_x_co, ltl("F G y"))
+
+    def test_more_than_twenty_propositions_are_refused(self):
+        problem = SpecProblem(
+            tuple(f"i{k}" for k in range(21)), ("o",), (), (ConjunctSource(ltl="G o"),))
+        with pytest.raises(ValueError, match="limit of 20"):
+            normalize_problem(problem)
 
 
 class TestSynthesize:
