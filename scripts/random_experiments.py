@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Seeded randomized experiments: differential oracle runs, a minimality
 check of every machine synthesized for the random specs, a sampled lasso
-differential on the 3- and 4-client arbiters, and solver cross-checks on
+differential on the 3- and 4-client arbiters (with each arbiter's product
+size, product build time and synthesis time), and solver cross-checks on
 freshly generated instances.
 
 Examples:
@@ -72,14 +73,25 @@ def run_differential(args) -> int:
 
 def run_arbiter_lassos(args) -> int:
     """Product against the conjunct oracle on seeded random lassos over the
-    3-client arbiter, its unrealizable variant and the 4-client arbiter."""
+    3-client arbiter, its unrealizable variant and the 4-client arbiter; each
+    arbiter's product size, product build time and synthesis time (one run
+    each) are printed too."""
     rng = random.Random(args.seed + 2)
     disagreements = 0
     ends = {LIVE: 0, GUARANTEE_DEAD: 0}
+    sizes = []
     started = time.perf_counter()
     for n, unrealizable in ARBITERS:
         spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
+        built = time.perf_counter()
         pa = build_product(spec)
+        built = time.perf_counter() - built
+        synthesized = time.perf_counter()
+        synthesize(spec)
+        synthesized = time.perf_counter() - synthesized
+        sizes.append(f"{'unrealizable ' if unrealizable else ''}{n}-client "
+                     f"{pa.n_states} states, product {built:.3f}s, "
+                     f"synthesis {synthesized:.3f}s")
         lassos = random_lassos(rng, pa.table.n_letters, ARBITER_LASSOS)
         mismatches, arbiter_ends = sampled_differential(spec, pa, lassos)
         if mismatches:
@@ -91,7 +103,8 @@ def run_arbiter_lassos(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"arbiter lassos: {len(ARBITERS)} arbiters x {ARBITER_LASSOS} "
           f"lassos, {disagreements} disagreements; {ends[GUARANTEE_DEAD]} end in "
-          f"the guarantee-dead region, {ends[LIVE]} in the live one; {elapsed:.2f}s")
+          f"the guarantee-dead region, {ends[LIVE]} in the live one; "
+          f"{'; '.join(sizes)}; {elapsed:.2f}s")
     return disagreements
 
 

@@ -55,8 +55,6 @@ from .product import (
     ParityAutomaton,
     ProductState,
     build_product,
-    colour_of,
-    control_successor,
     raw_product_bound,
 )
 from .solvers import (
@@ -101,9 +99,7 @@ __all__ = [
     "build_game",
     "build_product",
     "certify_strategy",
-    "colour_of",
     "compile_pattern",
-    "control_successor",
     "decompose_rabin",
     "differential_test",
     "emit_hoa",

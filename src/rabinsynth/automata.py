@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
-from .boolexpr import ApTable, BoolExpr, evaluate
+from .boolexpr import ApTable, BoolExpr, evaluate, letter_set, letters_in
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,10 @@ def validate(aut: OmegaAutomaton, table: ApTable) -> list[ValidationIssue]:
 
 
 def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
-    """Dense ``state x letter -> target`` table; every guard is evaluated
-    once per (state, letter).  Raises :class:`ValidationError` with every
-    issue :func:`validate` reports."""
+    """Dense ``state x letter -> target`` table.  Every guard is evaluated
+    once, as the set of letters it holds on; the rows, the letters no guard
+    covers and the letters two guards cover follow by set algebra.  Raises
+    :class:`ValidationError` with every issue :func:`validate` reports."""
     issues: list[ValidationIssue] = []
     n = aut.n_states
     if n <= 0:
@@ -203,13 +204,19 @@ def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
     if issues:
         raise ValidationError(issues)
     rows = []
+    every = (1 << table.n_letters) - 1
     for s, state_edges in enumerate(aut.edges):
-        row = []
-        for letter in table.letters():
-            targets = [t for guard, t in state_edges if evaluate(guard, letter, table)]
-            if len(targets) != 1:
-                issues.append((NondeterministicEdge if targets else MissingEdge)(s, letter))
-            row.append(targets[0] if targets else -1)
+        covered = overlap = 0
+        row = [-1] * table.n_letters
+        for guard, target in state_edges:
+            letters = letter_set(guard, table)
+            overlap |= covered & letters
+            covered |= letters
+            for letter in letters_in(letters):
+                row[letter] = target
+        twice = set(letters_in(overlap))
+        issues += [(NondeterministicEdge if letter in twice else MissingEdge)(s, letter)
+                   for letter in letters_in(overlap | every ^ covered)]
         rows.append(row)
     if issues:
         raise ValidationError(issues)

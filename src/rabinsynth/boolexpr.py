@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -142,6 +143,52 @@ def evaluate(expr: BoolExpr, letter: int, table: ApTable) -> bool:
     if isinstance(expr, Iff):
         return evaluate(expr.left, letter, table) == evaluate(expr.right, letter, table)
     raise TypeError(f"not a boolean expression: {expr!r}")
+
+
+@lru_cache(maxsize=None)
+def proposition_sets(size: int) -> tuple[int, ...]:
+    """Per proposition of a ``size``-name table, the letters in which it holds
+    as a letter set: an int whose bit ``letter`` is set iff the letter is in.
+    Proposition ``i`` repeats ``2 ** i`` letters out, ``2 ** i`` in; each set
+    is built from that period by doubling."""
+    sets = []
+    for i in range(size):
+        bits, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << size:
+            bits, width = bits | bits << width, 2 * width
+        sets.append(bits)
+    return tuple(sets)
+
+
+def letter_set(expr: BoolExpr, table: ApTable) -> int:
+    """The letters satisfying ``expr`` as a letter set (see
+    :func:`proposition_sets`), from one pass over the formula."""
+    props = proposition_sets(table.size)
+    full = (1 << table.n_letters) - 1
+
+    def of(e: BoolExpr) -> int:
+        if isinstance(e, Var):
+            return props[table.bit(e.name)]
+        if isinstance(e, Not):
+            return full ^ of(e.arg)
+        if isinstance(e, And):
+            return of(e.left) & of(e.right)
+        if isinstance(e, Or):
+            return of(e.left) | of(e.right)
+        if isinstance(e, Lit):
+            return full if e.value else 0
+        if isinstance(e, Implies):
+            return full ^ of(e.left) | of(e.right)
+        if isinstance(e, Iff):
+            return full ^ of(e.left) ^ of(e.right)
+        raise TypeError(f"not a boolean expression: {e!r}")
+
+    return of(expr)
+
+
+def letters_in(letters: int) -> list[int]:
+    """The members of a letter set in ascending order."""
+    return [i for i, bit in enumerate(bin(letters)[:1:-1]) if bit == "1"]
 
 
 def free_names(expr: BoolExpr) -> Iterator[str]:

@@ -29,7 +29,7 @@ from .automata import (
     OnePairRabin,
     Safety,
     decompose_rabin,
-    step,
+    transition_table,
 )
 from .boolexpr import (
     And,
@@ -389,9 +389,8 @@ def failure_sinks(aut: OmegaAutomaton, table: ApTable) -> frozenset[int]:
     automaton whose absorbing states mean something else has to be supplied
     with an explicit Buchi acceptance instead.
     """
-    rows = ([step(aut, s, letter, table) for letter in table.letters()]
-            for s in range(aut.n_states))
-    return frozenset(s for s, row in enumerate(rows) if all(t == s for t in row))
+    return frozenset(s for s, row in enumerate(transition_table(aut, table))
+                     if all(t == s for t in row))
 
 
 def normalize(aut: OmegaAutomaton, table: ApTable) -> list[OmegaAutomaton]:

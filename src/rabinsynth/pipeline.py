@@ -288,11 +288,12 @@ def sampled_differential(
     region (the regions are absorbing, so a run's cycle lies in one)."""
     mismatches = 0
     ends: Counter[int] = Counter()
+    region = pa.key_space.decode(pa.keys)[0].tolist()
     for lasso in lassos:
         cycle = infinity_set(pa.transitions.item, pa.initial, lasso)
         accepted = accepts_inf(Parity(pa.colours, 5), cycle)
         mismatches += accepted != lasso_oracle(spec, lasso)
-        ends[pa.states[min(cycle)].region] += 1
+        ends[region[min(cycle)]] += 1
     return mismatches, ends
 
 
@@ -345,14 +346,12 @@ def differential_test(
     # per component: whether it is Buchi, and its accepting or rejecting states
     conjuncts = [(True, aut.acceptance.accepting) if isinstance(aut.acceptance, Buchi)
                  else (False, aut.acceptance.rejecting) for aut in spec.components]
-    signature = np.zeros(n, dtype=np.int64)
-    for s, pstate in enumerate(pa.states):
-        bits = 1 << pa.colours[s]
-        tracked = pstate.components  # all, the assumptions only, or none
-        for j, (is_buchi, marked) in enumerate(conjuncts):
-            if (tracked[j] in marked) if j < len(tracked) else not is_buchi:
-                bits |= 1 << (5 + j)
-        signature[s] = bits
+    region, digits = pa.key_space.decode(pa.keys)
+    tracked = np.array(pa.key_space.tracked)[region]  # all, the assumptions only, or none
+    signature = 1 << np.array(pa.colours, dtype=np.int64)
+    for j, (is_buchi, marked) in enumerate(conjuncts):
+        hit = np.where(tracked > j, np.isin(digits[:, j], list(marked)), not is_buchi)
+        signature |= hit.astype(np.int64) << 5 + j
     # bit j of (cycle bits >> 5) ^ flip is set iff conjunct j accepts
     flip = sum(1 << j for j, (is_buchi, _) in enumerate(conjuncts) if not is_buchi)
     assumed = (1 << len(spec.buchi_assumptions) + len(spec.cobuchi_assumptions)) - 1
@@ -401,8 +400,7 @@ def differential_test(
             mismatches += int(disagree.sum(axis=0) @ end_multiplicity)
             checked += n_stems * len(words)
     return DifferentialReport(
-        checked=checked, mismatches=mismatches,
-        regions=frozenset(pstate.region for pstate in pa.states))
+        checked=checked, mismatches=mismatches, regions=frozenset(region.tolist()))
 
 
 # ---------------------------------------------------------------------------

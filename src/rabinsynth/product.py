@@ -22,8 +22,10 @@ slot in its round-robin counter: alive, it accepts at every step.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import count, islice
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -151,68 +153,25 @@ def _takes_counter_slot(aut: OmegaAutomaton, sinks: frozenset[int]) -> bool:
     return any(s not in accepting and s not in sinks for s in range(aut.n_states))
 
 
-def control_successor(
-    awaiting_assumption: int,
-    awaiting_guarantee: int,
-    assumptions_serviced: bool,
-    assumption_accepting: Sequence[bool],
-    guarantee_accepting: Sequence[bool],
-    guarantee_rejecting: Sequence[bool],
-) -> tuple[int, int, bool]:
-    """Advance the control structure by one step.
+@dataclass(frozen=True, eq=False)
+class KeySpace:
+    """How an int64 key encodes a product state: ``bases[region]`` plus a
+    mixed-radix number over one digit per component, then the assumption
+    counter, the guarantee counter and the flag, with the place values and
+    ranges of row ``region`` of ``weights`` and ``radices``.  :meth:`decode`
+    gives each key's region and digits; a digit the region does not track has
+    range 1 and reads 0.  ``tracked[region]`` counts the leading components
+    the region tracks."""
 
-    The flag vectors describe the *source* state's components: per counted
-    Buchi assumption and per counted Buchi guarantee whether the component
-    state is accepting, and per co-Buchi guarantee whether it is rejecting.
-    Counter value ``i > 0`` waits for the i-th (1-based) counted component;
-    the serviced flag reads the already-updated assumption counter.
-    """
-    n1 = len(assumption_accepting)
-    n3 = len(guarantee_accepting)
-    if awaiting_assumption == 0 or assumption_accepting[awaiting_assumption - 1]:
-        next_assumption = (awaiting_assumption + 1) % (n1 + 1)
-    else:
-        next_assumption = awaiting_assumption
-    if awaiting_guarantee == 0 or guarantee_accepting[awaiting_guarantee - 1]:
-        next_guarantee = (awaiting_guarantee + 1) % (n3 + 1)
-    else:
-        next_guarantee = awaiting_guarantee
-    serviced = next_assumption == 0 or (
-        assumptions_serviced and not any(guarantee_rejecting))
-    return next_assumption, next_guarantee, serviced
+    bases: np.ndarray
+    weights: np.ndarray
+    radices: np.ndarray
+    tracked: tuple[int, int, int]
 
-
-def colour_of(state: ProductState, spec: NormalizedSpec) -> int:
-    """Colour of a product state, the highest applicable rule below:
-
-    4: some co-Buchi assumption component is rejecting;
-    3: serviced flag set and some co-Buchi guarantee component is rejecting;
-    2: the guarantee counter sits on its free slot;
-    1: the assumption counter sits on its free slot;
-    0: otherwise.
-
-    A guarantee-dead state, where some guarantee has already failed, follows
-    the assumption rules 4, 1 and 0 only; the assumption-dead state, where
-    some assumption has, is coloured 0.
-    """
-    if state.region == ASSUMPTION_DEAD:
-        return 0
-    n1 = len(spec.buchi_assumptions)
-    comps = state.components
-    for j, aut in enumerate(spec.cobuchi_assumptions):
-        if comps[n1 + j] in aut.acceptance.rejecting:
-            return 4
-    if state.region == LIVE:
-        if state.assumptions_serviced:
-            base = n1 + len(spec.cobuchi_assumptions) + len(spec.buchi_guarantees)
-            for j, aut in enumerate(spec.cobuchi_guarantees):
-                if comps[base + j] in aut.acceptance.rejecting:
-                    return 3
-        if state.awaiting_guarantee == 0:
-            return 2
-    if state.awaiting_assumption == 0:
-        return 1
-    return 0
+    def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        region = np.searchsorted(self.bases[1:], keys, side="right")
+        offset = keys - self.bases[region]
+        return region, offset[:, None] // self.weights[region] % self.radices[region]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +182,8 @@ class ParityAutomaton:
     ``(n_states, n_letters)``: ``transitions[s, letter]`` is the successor
     index.  States are numbered in breadth-first discovery order: state 0 is
     the initial state, and reading the array row-major, every new successor
-    gets the next free index.  ``colours[s]`` is a Python int and
-    ``states[s]`` recovers the underlying product state, region included.
+    gets the next free index.  ``colours[s]`` is a Python int, ``keys[s]``
+    the state's int64 key, and ``states[s]`` decodes it on first reading.
     """
 
     table: ApTable
@@ -232,7 +191,15 @@ class ParityAutomaton:
     initial: int
     transitions: np.ndarray
     colours: tuple[int, ...]
-    states: tuple[ProductState, ...]
+    keys: np.ndarray
+    key_space: KeySpace
+
+    @cached_property
+    def states(self) -> tuple[ProductState, ...]:
+        region, digits = self.key_space.decode(self.keys)
+        k, tracked = digits.shape[1] - 3, self.key_space.tracked
+        return tuple(ProductState(tuple(row[:tracked[r]]), *row[k:k + 2], bool(row[k + 2]), r)
+                     for r, row in zip(region.tolist(), digits.tolist()))
 
 
 def raw_product_bound(spec: NormalizedSpec) -> int:
@@ -251,15 +218,13 @@ def build_product(
 ) -> ParityAutomaton:
     """Breadth-first construction of the reachable parity product.
 
-    A state is keyed by one int64.  Live keys are mixed-radix numbers over the
-    component states, the two counters and the flag, below ``live``.  A
-    guarantee-dead key is ``live`` plus a mixed-radix number over the
-    assumption components and the assumption counter, and the one
-    assumption-dead key comes last.  The whole key space must fit both int64
-    and ``state_limit``.  A whole level steps at once: successor keys are a
-    gather-and-sum over the radix-weighted component tables plus a control
-    term per source state, redirected to a dead region wherever a successor
-    component lands in one of its losing sinks.
+    A state is keyed by one int64 (see :class:`KeySpace`); the whole key
+    space must fit both int64 and ``state_limit``.  A whole level steps at
+    once: successor keys are a gather-and-sum over the radix-weighted
+    component tables plus a control term per source state, redirected to a
+    dead region wherever a successor component lands in one of its losing
+    sinks.  Each counter advances through a table indexed by its value and
+    the state of the component it awaits.
     """
     table, component_tables = validate_normalized(spec)
     components = spec.components
@@ -281,21 +246,33 @@ def build_product(
     if sink_key + 1 > limit:
         raise CapacityExceeded(
             f"product key space {sink_key + 1} exceeds the configured limit {limit}")
+    untracked = [1] * (k - na)
+    key_space = KeySpace(
+        np.array([0, live, sink_key]),
+        np.array([weights, weights[:na] + untracked + [dead_counter_weight, 1, 1], [1] * (k + 3)]),
+        np.array([radices, radices[:na] + untracked + [len(counted_a) + 1, 1, 1], [1] * (k + 3)]),
+        (k, na, 0))
 
     weighted_tables = [np.array(rows, dtype=np.int64) * w
                        for rows, w in zip(component_tables, weights)]
-    lost = []  # (component, whether each (state, letter) enters a losing sink)
-    for j, rows in enumerate(component_tables):
-        if sinks[j]:
-            is_sink = np.zeros(components[j].n_states, dtype=bool)
-            is_sink[list(sinks[j])] = True
-            lost.append((j, is_sink[np.array(rows)]))
-    accepting = {j: components[j].acceptance.accepting for j in counted_a + counted_g}
-    rejecting = [(j, aut.acceptance.rejecting)
-                 for j, aut in enumerate(spec.cobuchi_guarantees, na + n3)]
-    counter_weights = weights[k:]
-    radix_row = np.array(radices, dtype=np.int64)
-    weight_row = np.array(weights, dtype=np.int64)
+    # (component, whether each (state, letter) enters one of its losing sinks)
+    lost = [(j, np.array([[t in sinks[j] for t in row] for row in rows]))
+            for j, rows in enumerate(component_tables) if sinks[j]]
+    width = max(radices)  # every digit indexes a row this wide
+    rejecting = np.array([[isinstance(aut.acceptance, CoBuchi) and s in aut.acceptance.rejecting
+                           for s in range(width)] for aut in components],
+                         dtype=bool).reshape(k, width)  # co-Buchi components only
+
+    def advance(counted: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The column each counter value awaits (value 0, none) and the next
+        value per (counter value, state of the awaited component)."""
+        slots = len(counted) + 1
+        return np.array([0] + counted), np.array([[1 % slots] * width] + [
+            [(value + 1) % slots if s in components[j].acceptance.accepting else value
+             for s in range(width)] for value, j in enumerate(counted, 1)])
+
+    awaited_a, advance_a = advance(counted_a)
+    awaited_g, advance_g = advance(counted_g)
 
     start = [aut.initial for aut in components]
     if any(start[j] in sinks[j] for j in range(na)):
@@ -304,68 +281,69 @@ def build_product(
         initial_key = live + sum(s * w for s, w in zip(start[:na], weights))
     else:
         initial_key = sum(s * w for s, w in zip(start, weights))
-    index = {initial_key: 0}
+    index = defaultdict(count().__next__)  # a new key gets the next number
+    index[initial_key]
     frontier = np.array([initial_key], dtype=np.int64)
-    states: list[ProductState] = []
-    targets: list[int] = []
+    targets: list[np.ndarray] = []
     no_letters = np.zeros(table.n_letters, dtype=np.int64)  # broadcasts rows
     while len(frontier):
-        region = (frontier >= live).astype(np.int64) + (frontier == sink_key)
-        offset = frontier - live * (region > 0)
-        digits = offset[:, None] // weight_row % radix_row
-        dead_awaiting = offset // dead_counter_weight % (len(counted_a) + 1)
-        live_control = []
-        dead_control = []
-        for row, where, awaiting in zip(
-                digits.tolist(), region.tolist(), dead_awaiting.tolist()):
-            if where == LIVE:
-                state = ProductState(tuple(row[:k]), row[k], row[k + 1], bool(row[k + 2]))
-            elif where == GUARANTEE_DEAD:
-                state = ProductState(tuple(row[:na]), awaiting, 0, False, GUARANTEE_DEAD)
-            else:
-                state = ProductState((), 0, 0, False, ASSUMPTION_DEAD)
-            states.append(state)
-            # the control structure reads only the source state; the digits a
-            # collapsed state does not track only feed keys that are replaced
-            counters = control_successor(
-                *state[1:4],
-                [row[j] in accepting[j] for j in counted_a],
-                [row[j] in accepting[j] for j in counted_g],
-                [row[j] in marked for j, marked in rejecting])
-            live_control.append(sum(c * w for c, w in zip(counters, counter_weights)))
-            dead_control.append(live + counters[0] * dead_counter_weight)
+        region, digits = key_space.decode(frontier)
+        # the control structure reads only the source state; the digits a
+        # collapsed state does not track only feed keys that are replaced
+        at = np.arange(len(frontier))
+        awaiting_a, awaiting_g, serviced = digits[:, k], digits[:, k + 1], digits[:, k + 2]
+        next_a = advance_a[awaiting_a, digits[at, awaited_a[awaiting_a]]]
+        next_g = advance_g[awaiting_g, digits[at, awaited_g[awaiting_g]]]
+        rejected = rejecting[np.arange(na, k), digits[:, na:k]].any(1)  # by a guarantee
+        serviced = (next_a == 0) | (serviced > rejected)  # a set flag stays unless rejected
+        live_control = (next_a * weights[k] + next_g * weights[k + 1]
+                        + serviced * weights[k + 2])
         assumption_part = sum(
             (weighted_tables[j][digits[:, j]] for j in range(na)), no_letters)
-        assumed = np.array(dead_control, dtype=np.int64)[:, None] + assumption_part
+        assumed = (live + next_a * dead_counter_weight)[:, None] + assumption_part
         guaranteed = sum(
             (weighted_tables[j][digits[:, j]] for j in range(na, k)),
-            np.array(live_control, dtype=np.int64)[:, None] + assumption_part)
-        guarantee_lost = region[:, None] != LIVE
-        assumption_lost = region[:, None] == ASSUMPTION_DEAD
-        for j, enters_sink in lost:
-            if j < na:
-                assumption_lost = assumption_lost | enters_sink[digits[:, j]]
-            else:
-                guarantee_lost = guarantee_lost | enters_sink[digits[:, j]]
+            live_control[:, None] + assumption_part)
+        assumption_lost = sum((enters[digits[:, j]] for j, enters in lost if j < na),
+                              region[:, None] == ASSUMPTION_DEAD)
+        guarantee_lost = sum((enters[digits[:, j]] for j, enters in lost if j >= na),
+                             region[:, None] != LIVE)
         successors = np.where(
             assumption_lost, sink_key, np.where(guarantee_lost, assumed, guaranteed))
-        # number new keys in (source, letter) order, as a FIFO queue would
-        known = len(index)
-        setdefault = index.setdefault
-        targets += [setdefault(key, len(index)) for key in successors.ravel().tolist()]
-        fresh = islice(reversed(index), len(index) - known)  # newest first
-        frontier = np.array(list(fresh)[::-1], dtype=np.int64)
+        # number new keys in (source, letter) order, as a FIFO queue would; in
+        # a large level, the known keys are found by binary search instead
+        cells, known = successors.ravel(), len(index)
+        numbers, new = np.empty(cells.size, dtype=np.int32), slice(None)
+        if cells.size >= 4096:
+            numbered = np.fromiter(index, dtype=np.int64, count=known)
+            order = np.argsort(numbered)
+            found = order[np.searchsorted(numbered[order], cells) % known]
+            new = numbered[found] != cells
+            numbers[~new] = found[~new]
+        numbers[new] = np.fromiter(map(index.__getitem__, cells[new].tolist()), dtype=np.int32)
+        targets.append(numbers)
+        frontier = np.array(list(islice(reversed(index), len(index) - known))[::-1],
+                            dtype=np.int64)
 
-    transitions = np.array(targets, dtype=np.int32).reshape(len(states), -1)
+    # colour all states at once, by the highest rule that applies:
+    # 4: some co-Buchi assumption component is rejecting;
+    # 3: serviced flag set and some co-Buchi guarantee component is rejecting;
+    # 2: the guarantee counter sits on its free slot;
+    # 1: the assumption counter sits on its free slot;
+    # 0: otherwise.  A guarantee-dead state, where some guarantee has failed,
+    # follows rules 4, 1 and 0 only; the assumption-dead state is coloured 0.
+    keys = np.fromiter(index, dtype=np.int64, count=len(index))
+    region, digits = key_space.decode(keys)
+    marked = rejecting[np.arange(k), digits[:, :k]]
+    colours = (digits[:, k] == 0).astype(np.int64)
+    colours[(region == LIVE) & (digits[:, k + 1] == 0)] = 2
+    colours[(region == LIVE) & (digits[:, k + 2] == 1) & marked[:, na:].any(1)] = 3
+    colours[marked[:, :na].any(1)] = 4
+    colours[region == ASSUMPTION_DEAD] = 0
+    transitions = np.concatenate(targets).reshape(len(keys), -1)
     transitions.flags.writeable = False
-    return ParityAutomaton(
-        table=table,
-        n_states=len(states),
-        initial=0,
-        transitions=transitions,
-        colours=tuple(colour_of(state, spec) for state in states),
-        states=tuple(states),
-    )
+    return ParityAutomaton(table, len(keys), 0, transitions, tuple(colours.tolist()),
+                           keys, key_space)
 
 
 def product_to_automaton(pa: ParityAutomaton) -> OmegaAutomaton:

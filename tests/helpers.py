@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here deliberately avoids the code paths under test: lasso verdicts
+Everything here deliberately avoids the code paths under test: guards are
+evaluated letter by letter instead of as letter sets, lasso verdicts
 are computed by long-run simulation instead of boundary cycle detection,
 pattern semantics are decided by direct position analysis on the lasso,
-parity games are solved by a FIFO worklist attractor over Python lists, and
-machine files are written with one ``json.dumps`` per transition.
+parity games are solved by a FIFO worklist attractor over Python lists,
+the parity product is built by a breadth-first search over ``ProductState``
+values one state and one letter at a time, and machine files are written
+with one ``json.dumps`` per transition.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from rabinsynth.automata import (
     Buchi,
     CoBuchi,
     Lasso,
+    MissingEdge,
+    NondeterministicEdge,
     OmegaAutomaton,
     OnePairRabin,
     Parity,
@@ -34,6 +39,13 @@ from rabinsynth.ltl import (
     StateInit,
 )
 from rabinsynth.mealy import MealyMachine
+from rabinsynth.product import (
+    ASSUMPTION_DEAD,
+    GUARANTEE_DEAD,
+    LIVE,
+    NormalizedSpec,
+    ProductState,
+)
 from rabinsynth.solvers import Solution
 
 
@@ -47,6 +59,18 @@ def letter_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
             row.append(targets[0])
         rows.append(row)
     return rows
+
+
+def letter_issues(aut: OmegaAutomaton, table: ApTable) -> list:
+    """Determinism and totality issues found by evaluating every guard on
+    every letter, state by state and letter by letter."""
+    issues = []
+    for s in range(aut.n_states):
+        for letter in table.letters():
+            hits = [t for g, t in aut.edges[s] if evaluate(g, letter, table)]
+            if len(hits) != 1:
+                issues.append((NondeterministicEdge if hits else MissingEdge)(s, letter))
+    return issues
 
 
 def naive_inf_set(tt: list[list[int]], initial: int, lasso: Lasso) -> frozenset[int]:
@@ -366,3 +390,141 @@ def reference_machine_to_dot(machine: MealyMachine) -> str:
             lines.append(f'  s{s} -> s{target} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def control_successor(
+    awaiting_assumption: int,
+    awaiting_guarantee: int,
+    assumptions_serviced: bool,
+    assumption_accepting: list[bool],
+    guarantee_accepting: list[bool],
+    guarantee_rejecting: list[bool],
+) -> tuple[int, int, bool]:
+    """Advance the product's control structure by one step.
+
+    The flag vectors describe the *source* state's components: per counted
+    Buchi assumption and per counted Buchi guarantee whether the component
+    state is accepting, and per co-Buchi guarantee whether it is rejecting.
+    Counter value ``i > 0`` waits for the i-th (1-based) counted component;
+    the serviced flag reads the already-updated assumption counter.
+    """
+    n1 = len(assumption_accepting)
+    n3 = len(guarantee_accepting)
+    if awaiting_assumption == 0 or assumption_accepting[awaiting_assumption - 1]:
+        next_assumption = (awaiting_assumption + 1) % (n1 + 1)
+    else:
+        next_assumption = awaiting_assumption
+    if awaiting_guarantee == 0 or guarantee_accepting[awaiting_guarantee - 1]:
+        next_guarantee = (awaiting_guarantee + 1) % (n3 + 1)
+    else:
+        next_guarantee = awaiting_guarantee
+    serviced = next_assumption == 0 or (
+        assumptions_serviced and not any(guarantee_rejecting))
+    return next_assumption, next_guarantee, serviced
+
+
+def colour_of(state: ProductState, spec: NormalizedSpec) -> int:
+    """Colour of one product state, the highest applicable rule below:
+
+    4: some co-Buchi assumption component is rejecting;
+    3: serviced flag set and some co-Buchi guarantee component is rejecting;
+    2: the guarantee counter sits on its free slot;
+    1: the assumption counter sits on its free slot;
+    0: otherwise.
+
+    A guarantee-dead state follows the assumption rules 4, 1 and 0 only; the
+    assumption-dead state is coloured 0.
+    """
+    if state.region == ASSUMPTION_DEAD:
+        return 0
+    n1 = len(spec.buchi_assumptions)
+    comps = state.components
+    for j, aut in enumerate(spec.cobuchi_assumptions):
+        if comps[n1 + j] in aut.acceptance.rejecting:
+            return 4
+    if state.region == LIVE:
+        if state.assumptions_serviced:
+            base = n1 + len(spec.cobuchi_assumptions) + len(spec.buchi_guarantees)
+            for j, aut in enumerate(spec.cobuchi_guarantees):
+                if comps[base + j] in aut.acceptance.rejecting:
+                    return 3
+        if state.awaiting_guarantee == 0:
+            return 2
+    if state.awaiting_assumption == 0:
+        return 1
+    return 0
+
+
+def reference_product(
+    spec: NormalizedSpec,
+) -> tuple[list[list[int]], list[int], list[ProductState]]:
+    """The reachable parity product as (transitions, colours, states), built
+    by a FIFO breadth-first search over ``ProductState`` values, one state
+    and one letter at a time, with guards evaluated per letter.  A state's
+    number is its discovery order."""
+    table = spec.table()
+    automata = spec.components
+    rows = [letter_table(aut, table) for aut in automata]
+    n1 = len(spec.buchi_assumptions)
+    na = n1 + len(spec.cobuchi_assumptions)
+    n3 = len(spec.buchi_guarantees)
+
+    def losing(j: int) -> set[int]:
+        acc = automata[j].acceptance
+        return {s for s, row in enumerate(rows[j]) if all(t == s for t in row)
+                and (s in acc.rejecting if isinstance(acc, CoBuchi)
+                     else s not in acc.accepting)}
+
+    sinks = [losing(j) for j in range(len(automata))]
+
+    def counted(indices) -> list[int]:
+        # a Buchi conjunct accepting everywhere outside its sinks takes no slot
+        return [j for j in indices
+                if any(s not in automata[j].acceptance.accepting and s not in sinks[j]
+                       for s in range(automata[j].n_states))]
+
+    counted_a = counted(range(n1))
+    counted_g = counted(range(na, na + n3))
+    rejecting_g = [(j, aut.acceptance.rejecting) for j, aut in
+                   enumerate(spec.cobuchi_guarantees, na + n3)]
+    sink_state = ProductState((), 0, 0, False, ASSUMPTION_DEAD)
+
+    def place(components, awaiting_a, awaiting_g, serviced, region) -> ProductState:
+        if any(components[j] in sinks[j] for j in range(na)):
+            return sink_state
+        if region == GUARANTEE_DEAD or any(
+                components[j] in sinks[j] for j in range(na, len(components))):
+            return ProductState(components[:na], awaiting_a, 0, False, GUARANTEE_DEAD)
+        return ProductState(components, awaiting_a, awaiting_g, serviced)
+
+    def successor(state: ProductState, letter: int) -> ProductState:
+        if state.region == ASSUMPTION_DEAD:
+            return state
+        comps = state.components
+        live = state.region == LIVE
+        control = control_successor(
+            state.awaiting_assumption, state.awaiting_guarantee,
+            state.assumptions_serviced,
+            [comps[j] in automata[j].acceptance.accepting for j in counted_a],
+            [comps[j] in automata[j].acceptance.accepting for j in counted_g] if live else [],
+            [comps[j] in marked for j, marked in rejecting_g] if live else [])
+        nxt = tuple(rows[j][c][letter] for j, c in enumerate(comps))
+        return place(nxt, *control, state.region)
+
+    initial = place(tuple(aut.initial for aut in automata), 0, 0, False, LIVE)
+    index = {initial: 0}
+    states = [initial]
+    queue = deque([initial])
+    transitions = []
+    while queue:
+        state = queue.popleft()
+        row = []
+        for letter in table.letters():
+            nxt = successor(state, letter)
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+        transitions.append(row)
+    return transitions, [colour_of(state, spec) for state in states], states

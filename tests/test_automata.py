@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +15,18 @@ from rabinsynth.automata import (
     Parity,
     RangeError,
     Safety,
+    ValidationError,
     WrongAcceptanceKind,
     decompose_rabin,
     eval_lasso,
+    transition_table,
     validate,
 )
-from rabinsynth.boolexpr import ApTable, Not, Or, TRUE, Var
+from rabinsynth.boolexpr import (
+    FALSE, And, ApTable, Iff, Implies, Lit, Not, Or, TRUE, Var, proposition_sets)
 from rabinsynth.rand import random_letter_automaton
 
-from helpers import all_lassos, naive_lasso_verdict
+from helpers import all_lassos, letter_issues, letter_table, naive_lasso_verdict
 
 P = ApTable(("p",))
 PQ = ApTable(("p", "q"))
@@ -64,6 +68,72 @@ class TestValidate:
     def test_parity_colour_map_checked(self):
         aut = OmegaAutomaton(2, 0, (((TRUE, 0),), ((TRUE, 1),)), Parity((0,), 2))
         assert any(isinstance(i, RangeError) for i in validate(aut, P))
+
+
+def disguised(guard, rng: random.Random):
+    """The same letter set written with ``Implies``, ``Iff`` or ``Lit``."""
+    return rng.choice([
+        lambda g: Implies(Not(g), FALSE),
+        lambda g: Iff(g, TRUE),
+        lambda g: Iff(Not(g), Lit(False)),
+        lambda g: And(Implies(TRUE, g), Lit(True)),
+        lambda g: Or(g, Iff(Var("p"), Not(Var("p")))),
+    ])(guard)
+
+
+def random_guarded_automaton(rng: random.Random) -> tuple[OmegaAutomaton, ApTable]:
+    table = ApTable(("p", "q", "r", "s")[:rng.randint(1, 4)])
+    aut = random_letter_automaton(
+        rng, table, rng.randint(1, 4), rng.choice(("buchi", "cobuchi", "rabin", "safety")))
+    edges = tuple(tuple((disguised(g, rng) if rng.random() < 0.5 else g, t) for g, t in row)
+                  for row in aut.edges)
+    return OmegaAutomaton(aut.n_states, aut.initial, edges, aut.acceptance), table
+
+
+class TestTransitionTable:
+    """Guards are evaluated once each, as letter sets; the reference
+    evaluates every guard on every letter."""
+
+    def test_matches_per_letter_evaluation(self):
+        rng = random.Random(99)
+        for _ in range(300):
+            aut, table = random_guarded_automaton(rng)
+            assert transition_table(aut, table) == letter_table(aut, table)
+
+    def test_issues_match_per_letter_evaluation(self):
+        rng = random.Random(98)
+        for _ in range(300):
+            aut, table = random_guarded_automaton(rng)
+            rows = [list(row) for row in aut.edges]
+            for row in rows:
+                if rng.random() < 0.5 and row:
+                    del row[rng.randrange(len(row))]            # letters go missing
+                if rng.random() < 0.5:
+                    row.append((Var(rng.choice(table.names)), 0))  # letters overlap
+            broken = OmegaAutomaton(
+                aut.n_states, aut.initial, tuple(map(tuple, rows)), aut.acceptance)
+            expected = letter_issues(broken, table)
+            if expected:
+                with pytest.raises(ValidationError) as raised:
+                    transition_table(broken, table)
+                assert raised.value.issues == expected
+            else:
+                assert validate(broken, table) == []
+
+    def test_unknown_name_raises_key_error(self):
+        aut = OmegaAutomaton(1, 0, (((Var("z"), 0), (Not(Var("z")), 0)),), Safety())
+        with pytest.raises(KeyError, match="unknown proposition: 'z'"):
+            transition_table(aut, PQ)
+
+    def test_twenty_proposition_sets_are_fast(self):
+        proposition_sets.cache_clear()
+        started = time.perf_counter()
+        sets = proposition_sets(20)
+        assert time.perf_counter() - started < 1.0
+        for i in (0, 7, 19):
+            assert [letter for letter in range(0, 1 << 20, 4099)
+                    if sets[i] >> letter & 1] == [
+                letter for letter in range(0, 1 << 20, 4099) if letter >> i & 1]
 
 
 class TestEvalLasso:

@@ -22,8 +22,6 @@ from rabinsynth.product import (
     NormalizedSpec,
     ProductState,
     build_product,
-    colour_of,
-    control_successor,
     raw_product_bound,
 )
 from rabinsynth.pipeline import (
@@ -37,7 +35,7 @@ from rabinsynth.pipeline import (
 )
 from rabinsynth.rand import arbiter_problem, random_lassos, random_normalized_spec
 
-from helpers import all_lassos
+from helpers import all_lassos, colour_of, control_successor, reference_product
 
 
 def gf_spec():
@@ -241,6 +239,37 @@ class TestBuildProduct:
         with pytest.raises(ValidationError) as raised:
             build_product(spec)
         assert raised.value.issues == issues
+
+
+class TestReferenceProduct:
+    """``build_product`` steps whole levels as arrays; the reference steps one
+    ``ProductState`` and one letter at a time."""
+
+    def assert_matches_reference(self, spec):
+        pa = build_product(spec)
+        transitions, colours, states = reference_product(spec)
+        assert pa.transitions.tolist() == transitions
+        assert list(pa.colours) == colours
+        assert list(pa.states) == states
+
+    @pytest.mark.parametrize("n, unrealizable", [
+        (2, False), (2, True), (3, False), (3, True)])
+    def test_arbiters(self, n, unrealizable):
+        self.assert_matches_reference(
+            normalize_problem(arbiter_problem(n, unrealizable=unrealizable)))
+
+    def test_random_specs(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            self.assert_matches_reference(random_normalized_spec(rng))
+
+    def test_keys_decode_to_the_states(self):
+        spec = normalize_problem(arbiter_problem(2, unrealizable=True))
+        pa = build_product(spec)
+        region, digits = pa.key_space.decode(pa.keys)
+        assert [s.region for s in pa.states] == region.tolist()
+        assert [list(s.components) for s in pa.states] == [
+            row[:pa.key_space.tracked[r]] for r, row in zip(region.tolist(), digits.tolist())]
 
 
 def ltl_problem(inputs, outputs, assumptions, guarantees) -> SpecProblem:
