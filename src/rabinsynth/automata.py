@@ -204,7 +204,6 @@ def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
     if issues:
         raise ValidationError(issues)
     rows = []
-    every = (1 << table.n_letters) - 1
     for s, state_edges in enumerate(aut.edges):
         covered = overlap = 0
         row = [-1] * table.n_letters
@@ -216,7 +215,7 @@ def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
                 row[letter] = target
         twice = set(letters_in(overlap))
         issues += [(NondeterministicEdge if letter in twice else MissingEdge)(s, letter)
-                   for letter in letters_in(overlap | every ^ covered)]
+                   for letter in letters_in(overlap | (1 << table.n_letters) - 1 ^ covered)]
         rows.append(row)
     if issues:
         raise ValidationError(issues)

@@ -346,14 +346,15 @@ def differential_test(
     # per component: whether it is Buchi, and its accepting or rejecting states
     conjuncts = [(True, aut.acceptance.accepting) if isinstance(aut.acceptance, Buchi)
                  else (False, aut.acceptance.rejecting) for aut in spec.components]
-    region, digits = pa.key_space.decode(pa.keys)
-    tracked = np.array(pa.key_space.tracked)[region]  # all, the assumptions only, or none
-    signature = 1 << np.array(pa.colours, dtype=np.int64)
-    for j, (is_buchi, marked) in enumerate(conjuncts):
-        hit = np.where(tracked > j, np.isin(digits[:, j], list(marked)), not is_buchi)
-        signature |= hit.astype(np.int64) << 5 + j
     # bit j of (cycle bits >> 5) ^ flip is set iff conjunct j accepts
     flip = sum(1 << j for j, (is_buchi, _) in enumerate(conjuncts) if not is_buchi)
+    region, digits = pa.key_space.decode(pa.keys)
+    k, width = len(conjuncts), int(digits[:, :len(conjuncts)].max(initial=0)) + 1
+    member = np.array([[s in marked for s in range(width)] for _, marked in conjuncts],
+                      dtype=bool).reshape(k, width)
+    tracked = np.arange(k) < np.array(pa.key_space.tracked)[region][:, None]
+    hit = np.where(tracked, member[np.arange(k), digits[:, :k]], flip >> np.arange(k) & 1)
+    signature = (1 << np.array(pa.colours, dtype=np.int64)) | hit @ (1 << np.arange(5, 5 + k))
     assumed = (1 << len(spec.buchi_assumptions) + len(spec.cobuchi_assumptions)) - 1
     guaranteed = (1 << len(conjuncts)) - 1 - assumed
 

@@ -48,6 +48,7 @@ class CapacityExceeded(Exception):
 
 
 DEFAULT_STATE_LIMIT = 10_000_000
+_SMALL_CELLS = 4096  # (key, letter) cells below which an array pass costs mostly its overhead
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,8 @@ def build_product(
     component tables plus a control term per source state, redirected to a
     dead region wherever a successor component lands in one of its losing
     sinks.  Each counter advances through a table indexed by its value and
-    the state of the component it awaits.
+    the state of the component it awaits.  A small key space is stepped whole
+    before the search; a large level finds its known keys by binary search.
     """
     table, component_tables = validate_normalized(spec)
     components = spec.components
@@ -264,8 +266,7 @@ def build_product(
                          dtype=bool).reshape(k, width)  # co-Buchi components only
 
     def advance(counted: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The column each counter value awaits (value 0, none) and the next
-        value per (counter value, state of the awaited component)."""
+        """Awaited column per counter value (0 awaits none); next value per (value, its state)."""
         slots = len(counted) + 1
         return np.array([0] + counted), np.array([[1 % slots] * width] + [
             [(value + 1) % slots if s in components[j].acceptance.accepting else value
@@ -273,6 +274,33 @@ def build_product(
 
     awaited_a, advance_a = advance(counted_a)
     awaited_g, advance_g = advance(counted_g)
+
+    no_letters = np.zeros(table.n_letters, dtype=np.int64)  # broadcasts rows
+
+    def successors(frontier: np.ndarray) -> np.ndarray:
+        """The successor key of every key in ``frontier`` under every letter."""
+        region, digits = key_space.decode(frontier)
+        # the control structure reads only the source state; the digits a
+        # collapsed state does not track only feed keys that are replaced
+        at = np.arange(len(frontier))
+        awaiting_a, awaiting_g, serviced = digits[:, k], digits[:, k + 1], digits[:, k + 2]
+        next_a = advance_a[awaiting_a, digits[at, awaited_a[awaiting_a]]]
+        next_g = advance_g[awaiting_g, digits[at, awaited_g[awaiting_g]]]
+        rejected = rejecting[np.arange(na, k), digits[:, na:k]].any(1)  # by a guarantee
+        serviced = (next_a == 0) | (serviced > rejected)  # a set flag stays unless rejected
+        live_control = next_a * weights[k] + next_g * weights[k + 1] + serviced * weights[k + 2]
+        assumption_part = sum(
+            (weighted_tables[j][digits[:, j]] for j in range(na)), no_letters)
+        assumed = (live + next_a * dead_counter_weight)[:, None] + assumption_part
+        guaranteed = sum(
+            (weighted_tables[j][digits[:, j]] for j in range(na, k)),
+            live_control[:, None] + assumption_part)
+        assumption_lost = sum((enters[digits[:, j]] for j, enters in lost if j < na),
+                              region[:, None] == ASSUMPTION_DEAD)
+        guarantee_lost = sum((enters[digits[:, j]] for j, enters in lost if j >= na),
+                             region[:, None] != LIVE)
+        return np.where(
+            assumption_lost, sink_key, np.where(guarantee_lost, assumed, guaranteed))
 
     start = [aut.initial for aut in components]
     if any(start[j] in sinks[j] for j in range(na)):
@@ -285,36 +313,15 @@ def build_product(
     index[initial_key]
     frontier = np.array([initial_key], dtype=np.int64)
     targets: list[np.ndarray] = []
-    no_letters = np.zeros(table.n_letters, dtype=np.int64)  # broadcasts rows
+    step = successors
+    if (sink_key + 1) * table.n_letters <= _SMALL_CELLS:  # step every key in one pass
+        step = successors(np.arange(sink_key + 1)).__getitem__
     while len(frontier):
-        region, digits = key_space.decode(frontier)
-        # the control structure reads only the source state; the digits a
-        # collapsed state does not track only feed keys that are replaced
-        at = np.arange(len(frontier))
-        awaiting_a, awaiting_g, serviced = digits[:, k], digits[:, k + 1], digits[:, k + 2]
-        next_a = advance_a[awaiting_a, digits[at, awaited_a[awaiting_a]]]
-        next_g = advance_g[awaiting_g, digits[at, awaited_g[awaiting_g]]]
-        rejected = rejecting[np.arange(na, k), digits[:, na:k]].any(1)  # by a guarantee
-        serviced = (next_a == 0) | (serviced > rejected)  # a set flag stays unless rejected
-        live_control = (next_a * weights[k] + next_g * weights[k + 1]
-                        + serviced * weights[k + 2])
-        assumption_part = sum(
-            (weighted_tables[j][digits[:, j]] for j in range(na)), no_letters)
-        assumed = (live + next_a * dead_counter_weight)[:, None] + assumption_part
-        guaranteed = sum(
-            (weighted_tables[j][digits[:, j]] for j in range(na, k)),
-            live_control[:, None] + assumption_part)
-        assumption_lost = sum((enters[digits[:, j]] for j, enters in lost if j < na),
-                              region[:, None] == ASSUMPTION_DEAD)
-        guarantee_lost = sum((enters[digits[:, j]] for j, enters in lost if j >= na),
-                             region[:, None] != LIVE)
-        successors = np.where(
-            assumption_lost, sink_key, np.where(guarantee_lost, assumed, guaranteed))
         # number new keys in (source, letter) order, as a FIFO queue would; in
         # a large level, the known keys are found by binary search instead
-        cells, known = successors.ravel(), len(index)
+        cells, known = step(frontier).ravel(), len(index)
         numbers, new = np.empty(cells.size, dtype=np.int32), slice(None)
-        if cells.size >= 4096:
+        if cells.size >= _SMALL_CELLS:
             numbered = np.fromiter(index, dtype=np.int64, count=known)
             order = np.argsort(numbered)
             found = order[np.searchsorted(numbered[order], cells) % known]
@@ -322,26 +329,19 @@ def build_product(
             numbers[~new] = found[~new]
         numbers[new] = np.fromiter(map(index.__getitem__, cells[new].tolist()), dtype=np.int32)
         targets.append(numbers)
-        frontier = np.array(list(islice(reversed(index), len(index) - known))[::-1],
-                            dtype=np.int64)
+        frontier = np.fromiter(islice(index, known, None), dtype=np.int64)
 
-    # colour all states at once, by the highest rule that applies:
-    # 4: some co-Buchi assumption component is rejecting;
-    # 3: serviced flag set and some co-Buchi guarantee component is rejecting;
-    # 2: the guarantee counter sits on its free slot;
-    # 1: the assumption counter sits on its free slot;
-    # 0: otherwise.  A guarantee-dead state, where some guarantee has failed,
-    # follows rules 4, 1 and 0 only; the assumption-dead state is coloured 0.
+    # colour every state at once; each rule below overrides the ones above it
     keys = np.fromiter(index, dtype=np.int64, count=len(index))
     region, digits = key_space.decode(keys)
-    marked = rejecting[np.arange(k), digits[:, :k]]
-    colours = (digits[:, k] == 0).astype(np.int64)
-    colours[(region == LIVE) & (digits[:, k + 1] == 0)] = 2
-    colours[(region == LIVE) & (digits[:, k + 2] == 1) & marked[:, na:].any(1)] = 3
-    colours[marked[:, :na].any(1)] = 4
-    colours[region == ASSUMPTION_DEAD] = 0
+    marked, in_live = rejecting[np.arange(k), digits[:, :k]], region == LIVE
+    colours = (digits[:, k] == 0).astype(np.int64)  # 1: the assumption counter is free
+    colours[in_live & (digits[:, k + 1] == 0)] = 2  # the guarantee counter is free
+    colours[in_live & (digits[:, k + 2] == 1) & marked[:, na:].any(1)] = 3  # serviced; rejected
+    colours[marked[:, :na].any(1)] = 4  # a co-Buchi assumption component rejects
+    colours[region == ASSUMPTION_DEAD] = 0  # an assumption has failed: the System has won
     transitions = np.concatenate(targets).reshape(len(keys), -1)
-    transitions.flags.writeable = False
+    transitions.flags.writeable = keys.flags.writeable = False
     return ParityAutomaton(table, len(keys), 0, transitions, tuple(colours.tolist()),
                            keys, key_space)
 

@@ -207,6 +207,8 @@ class TestBuildProduct:
         assert pa.transitions.shape == (pa.n_states, pa.table.n_letters)
         with pytest.raises(ValueError):
             pa.transitions[0, 0] = 0
+        with pytest.raises(ValueError):
+            pa.keys[0] = 0
 
     def test_states_are_numbered_in_discovery_order(self):
         # reading the array row-major, every new state id is the next one;
