@@ -349,7 +349,7 @@ def differential_test(
     # bit j of (cycle bits >> 5) ^ flip is set iff conjunct j accepts
     flip = sum(1 << j for j, (is_buchi, _) in enumerate(conjuncts) if not is_buchi)
     region, digits = pa.key_space.decode(pa.keys)
-    k, width = len(conjuncts), int(digits[:, :len(conjuncts)].max(initial=0)) + 1
+    k, width = len(conjuncts), max((aut.n_states for aut in spec.components), default=1)
     member = np.array([[s in marked for s in range(width)] for _, marked in conjuncts],
                       dtype=bool).reshape(k, width)
     tracked = np.arange(k) < np.array(pa.key_space.tracked)[region][:, None]
