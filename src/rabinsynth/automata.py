@@ -213,8 +213,7 @@ def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
             covered |= letters
             for letter in letters_in(letters):
                 row[letter] = target
-        twice = set(letters_in(overlap))
-        issues += [(NondeterministicEdge if letter in twice else MissingEdge)(s, letter)
+        issues += [(NondeterministicEdge if overlap >> letter & 1 else MissingEdge)(s, letter)
                    for letter in letters_in(overlap | (1 << table.n_letters) - 1 ^ covered)]
         rows.append(row)
     if issues:

@@ -288,7 +288,7 @@ def sampled_differential(
     region (the regions are absorbing, so a run's cycle lies in one)."""
     mismatches = 0
     ends: Counter[int] = Counter()
-    region = pa.key_space.decode(pa.keys)[0].tolist()
+    region = pa.key_space.read(pa.keys)[0].tolist()
     for lasso in lassos:
         cycle = infinity_set(pa.transitions.item, pa.initial, lasso)
         accepted = accepts_inf(Parity(pa.colours, 5), cycle)
@@ -348,12 +348,11 @@ def differential_test(
                  else (False, aut.acceptance.rejecting) for aut in spec.components]
     # bit j of (cycle bits >> 5) ^ flip is set iff conjunct j accepts
     flip = sum(1 << j for j, (is_buchi, _) in enumerate(conjuncts) if not is_buchi)
-    region, digits = pa.key_space.decode(pa.keys)
+    region, states, tracked, _ = pa.key_space.read(pa.keys)
     k, width = len(conjuncts), max((aut.n_states for aut in spec.components), default=1)
     member = np.array([[s in marked for s in range(width)] for _, marked in conjuncts],
                       dtype=bool).reshape(k, width)
-    tracked = np.arange(k) < np.array(pa.key_space.tracked)[region][:, None]
-    hit = np.where(tracked, member[np.arange(k), digits[:, :k]], flip >> np.arange(k) & 1)
+    hit = np.where(tracked, member[np.arange(k), states], flip >> np.arange(k) & 1)
     signature = (1 << np.array(pa.colours, dtype=np.int64)) | hit @ (1 << np.arange(5, 5 + k))
     assumed = (1 << len(spec.buchi_assumptions) + len(spec.cobuchi_assumptions)) - 1
     guaranteed = (1 << len(conjuncts)) - 1 - assumed

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import compress, count, islice
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,6 +49,7 @@ class CapacityExceeded(Exception):
 
 DEFAULT_STATE_LIMIT = 10_000_000
 _SMALL_CELLS = 4096  # (key, letter) cells below which an array pass costs mostly its overhead
+_SEARCH_CELLS = 4096  # level cells from which binary search beats dict lookups at numbering
 
 
 @dataclass(frozen=True)
@@ -159,20 +160,26 @@ class KeySpace:
     """How an int64 key encodes a product state: ``bases[region]`` plus a
     mixed-radix number over one digit per component, then the assumption
     counter, the guarantee counter and the flag, with the place values and
-    ranges of row ``region`` of ``weights`` and ``radices``.  :meth:`decode`
-    gives each key's region and digits; a digit the region does not track has
-    range 1 and reads 0.  ``tracked[region]`` counts the leading components
-    the region tracks."""
+    ranges of row ``region`` of ``weights`` and ``radices``; a digit the
+    region does not track has range 1 and reads 0, and ``tracked[region]``
+    marks the components it tracks.  Outside this module, keys are read
+    through :meth:`read` alone."""
 
     bases: np.ndarray
     weights: np.ndarray
     radices: np.ndarray
-    tracked: tuple[int, int, int]
+    tracked: np.ndarray
 
     def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         region = np.searchsorted(self.bases[1:], keys, side="right")
         offset = keys - self.bases[region]
         return region, offset[:, None] // self.weights[region] % self.radices[region]
+
+    def read(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per key: its region, component states, which components it tracks, and
+        control (assumption counter, guarantee counter, flag), one column each."""
+        region, digits = self.decode(keys)
+        return region, digits[:, :-3], self.tracked[region], digits[:, -3:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +204,9 @@ class ParityAutomaton:
 
     @cached_property
     def states(self) -> tuple[ProductState, ...]:
-        region, digits = self.key_space.decode(self.keys)
-        k, tracked = digits.shape[1] - 3, self.key_space.tracked
-        return tuple(ProductState(tuple(row[:tracked[r]]), *row[k:k + 2], bool(row[k + 2]), r)
-                     for r, row in zip(region.tolist(), digits.tolist()))
+        region, states, tracked, control = (a.tolist() for a in self.key_space.read(self.keys))
+        return tuple(ProductState(tuple(compress(c, t)), a, g, bool(f), r)
+                     for r, c, t, (a, g, f) in zip(region, states, tracked, control))
 
 
 def raw_product_bound(spec: NormalizedSpec) -> int:
@@ -253,7 +259,7 @@ def build_product(
         np.array([0, live, sink_key]),
         np.array([weights, weights[:na] + untracked + [dead_counter_weight, 1, 1], [1] * (k + 3)]),
         np.array([radices, radices[:na] + untracked + [len(counted_a) + 1, 1, 1], [1] * (k + 3)]),
-        (k, na, 0))
+        np.arange(k) < np.array([[k], [na], [0]]))
 
     weighted_tables = [np.array(rows, dtype=np.int64) * w
                        for rows, w in zip(component_tables, weights)]
@@ -321,7 +327,7 @@ def build_product(
         # a large level, the known keys are found by binary search instead
         cells, known = step(frontier).ravel(), len(index)
         numbers, new = np.empty(cells.size, dtype=np.int32), slice(None)
-        if cells.size >= _SMALL_CELLS:
+        if cells.size >= _SEARCH_CELLS:
             numbered = np.fromiter(index, dtype=np.int64, count=known)
             order = np.argsort(numbered)
             found = order[np.searchsorted(numbered[order], cells) % known]
@@ -349,8 +355,4 @@ def build_product(
 def product_to_automaton(pa: ParityAutomaton) -> OmegaAutomaton:
     """View of the product as a plain parity automaton (five colour sets)."""
     return automaton_from_letter_table(
-        pa.transitions.tolist(),
-        pa.initial,
-        Parity(pa.colours, 5),
-        pa.table,
-    )
+        pa.transitions.tolist(), pa.initial, Parity(pa.colours, 5), pa.table)
