@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Seeded randomized experiments: differential oracle runs, a minimality
-check of every machine synthesized for the random specs, a sampled lasso
-differential on the 3- and 4-client arbiters (with each arbiter's product
-size, product build time and synthesis time), and solver cross-checks on
-freshly generated instances.
+"""Seeded randomized experiments: differential oracle runs, an HOA round
+trip of each random spec's product, a minimality check of every machine
+synthesized for the random specs, a sampled lasso differential on the 3- and
+4-client arbiters (with each arbiter's product size, product build time and
+synthesis time), and solver cross-checks on freshly generated instances.
 
 Examples:
     python scripts/random_experiments.py --specs 200 --games 500 --seed 7
@@ -17,6 +17,8 @@ import random
 import sys
 import time
 
+from rabinsynth.automata import Parity, transition_table
+from rabinsynth.hoa import emit_letter_table, parse_hoa
 from rabinsynth.pipeline import (
     Realizable, differential_test, normalize_problem, sampled_differential, synthesize)
 from rabinsynth.product import ASSUMPTION_DEAD, GUARANTEE_DEAD, LIVE, build_product
@@ -38,13 +40,14 @@ ARBITER_LASSOS = 2000
 
 def run_differential(args) -> int:
     """Product against the conjunct oracle on all small lassos of each random
-    spec; each realizable spec's machine is checked to have no two
-    equivalent states."""
+    spec; each spec's product is written as HOA and read back, and each
+    realizable spec's machine is checked to have no two equivalent states."""
     rng = random.Random(args.seed)
     mismatching = 0
     checked = 0
     machines = 0
     not_minimal = 0
+    not_read_back = 0
     reached = {GUARANTEE_DEAD: 0, ASSUMPTION_DEAD: 0}
     started = time.perf_counter()
     for i in range(args.specs):
@@ -56,6 +59,13 @@ def run_differential(args) -> int:
             print(f"  spec {i}: {report.mismatches} mismatches")
         for region in reached:
             reached[region] += region in report.regions
+        pa = build_product(spec)
+        parsed, table = parse_hoa(emit_letter_table(
+            pa.transitions, pa.initial, Parity(pa.colours, 5), pa.table))
+        if (transition_table(parsed, table) != pa.transitions.tolist()
+                or parsed.acceptance.colours != pa.colours):
+            not_read_back += 1
+            print(f"  spec {i}: product HOA reads back differently")
         outcome = synthesize(spec)
         if isinstance(outcome, Realizable):
             machines += 1
@@ -67,8 +77,9 @@ def run_differential(args) -> int:
     print(f"differential: {args.specs} specs, {checked} lassos, "
           f"{mismatching} bad specs; {reached[GUARANTEE_DEAD]} specs reach the "
           f"guarantee-dead region, {reached[ASSUMPTION_DEAD]} the assumption "
-          f"sink; {machines} machines, {not_minimal} not minimal; {elapsed:.2f}s")
-    return mismatching + not_minimal
+          f"sink; {not_read_back} products read back differently; {machines} "
+          f"machines, {not_minimal} not minimal; {elapsed:.2f}s")
+    return mismatching + not_read_back + not_minimal
 
 
 def run_arbiter_lassos(args) -> int:

@@ -21,7 +21,7 @@ from .automata import (
     validate,
 )
 from .boolexpr import ApTable
-from .game import SynthesisGame, build_game, game_debug_dump
+from .game import SynthesisGame, build_game
 from .hoa import HoaError, UnsupportedFeature, emit_hoa, parse_hoa
 from .ltl import (
     UnsupportedAcceptance,
@@ -106,7 +106,6 @@ __all__ = [
     "eval_lasso",
     "extract_mealy",
     "format_pattern",
-    "game_debug_dump",
     "lasso_oracle",
     "machine_from_json",
     "machine_to_json",

@@ -171,10 +171,20 @@ def letter_set(expr: BoolExpr, table: ApTable) -> int:
             return props[table.bit(e.name)]
         if isinstance(e, Not):
             return full ^ of(e.arg)
+        # a flat chain nests to the left: walk its spine in a loop, so that
+        # its length stays out of the recursion depth
         if isinstance(e, And):
-            return of(e.left) & of(e.right)
+            letters = full
+            while isinstance(e, And):
+                letters &= of(e.right)
+                e = e.left
+            return letters & of(e)
         if isinstance(e, Or):
-            return of(e.left) | of(e.right)
+            letters = 0
+            while isinstance(e, Or):
+                letters |= of(e.right)
+                e = e.left
+            return letters | of(e)
         if isinstance(e, Lit):
             return full if e.value else 0
         if isinstance(e, Implies):
@@ -204,23 +214,6 @@ def free_names(expr: BoolExpr) -> Iterator[str]:
             yield from free_names(r)
         case _:
             raise TypeError(f"not a boolean expression: {expr!r}")
-
-
-def minterm(letter: int, table: ApTable) -> BoolExpr:
-    """The conjunction of literals satisfied by exactly ``letter``."""
-    expr: BoolExpr | None = None
-    for i, name in enumerate(table.names):
-        lit: BoolExpr = Var(name) if letter >> i & 1 else Not(Var(name))
-        expr = lit if expr is None else And(expr, lit)
-    return TRUE if expr is None else expr
-
-
-def any_of(exprs: Iterable[BoolExpr]) -> BoolExpr:
-    """Disjunction of the given formulas; false if empty."""
-    out: BoolExpr | None = None
-    for e in exprs:
-        out = e if out is None else Or(out, e)
-    return FALSE if out is None else out
 
 
 # Precedence levels used by the printer; parenthesise a child whenever its

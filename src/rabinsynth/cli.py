@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .automata import Lasso
-from .hoa import emit_hoa
+from .automata import Lasso, Parity
+from .hoa import emit_letter_table
 from .mealy import machine_from_json, machine_to_dict, machine_to_dot, machine_to_json
 from .pipeline import (
     ConjunctSource,
@@ -26,7 +26,7 @@ from .pipeline import (
     synthesize,
     verify_mealy,
 )
-from .product import build_product, product_to_automaton
+from .product import build_product
 
 
 class SpecFileError(Exception):
@@ -146,7 +146,7 @@ def _cmd_check(args) -> int:
 def _cmd_product(args) -> int:
     spec = normalize_problem(load_spec_problem(args.spec))
     pa = build_product(spec)
-    text = emit_hoa(product_to_automaton(pa), pa.table)
+    text = emit_letter_table(pa.transitions, pa.initial, Parity(pa.colours, 5), pa.table)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -102,28 +102,6 @@ class SynthesisGame:
         return env, system.reshape(self.n_system_vertices, self.n_outputs)
 
 
-def game_debug_dump(game: SynthesisGame) -> dict:
-    """Plain vertex/edge/colour dump for debugging; format not stable."""
-    vertices = []
-    edges = []
-    for v in range(game.n_vertices):
-        vertices.append({
-            "id": v,
-            "owner": "environment" if game.owner(v) == ENVIRONMENT else "system",
-            "colour": game.colour(v),
-            "initial": v == game.initial,
-        })
-        for label, target in game.moves(v):
-            edges.append({"from": v, "letter": label, "to": target})
-    return {
-        "propositions": list(game.table.names),
-        "input_bits": game.input_bits,
-        "output_bits": game.output_bits,
-        "vertices": vertices,
-        "edges": edges,
-    }
-
-
 def build_game(pa: ParityAutomaton, inputs, outputs) -> SynthesisGame:
     """Split the product alphabet into choices of the two players."""
     inputs = tuple(inputs)

@@ -4,6 +4,9 @@ Supported documents consist of the headers ``HOA: v1``, ``States:``,
 ``Start:``, ``AP:``, ``acc-name:``, ``Acceptance:`` followed by a ``--BODY--``
 section of per-state blocks with guarded edges, closed by ``--END--``.
 Acceptance is state-based; automata must be deterministic and total.
+Emitted guards are ``t`` or a disjunction of minterms over AP indices
+(``0 & !1 | !0 & 1``); read guards may use ``t f ! & |`` and parentheses,
+with ``!`` and parentheses nested at most :data:`MAX_GUARD_DEPTH` deep.
 
 Recognised acceptance names and their canonical ``Acceptance:`` lines:
 
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .automata import (
     Buchi,
     CoBuchi,
@@ -34,14 +39,10 @@ from .boolexpr import (
     And,
     ApTable,
     BoolExpr,
-    Iff,
-    Implies,
     Lit,
     Not,
     Or,
     Var,
-    any_of,
-    minterm,
 )
 
 
@@ -168,12 +169,18 @@ def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) 
 # guards over AP indices
 
 
+#: Deepest nesting of ``!`` and parentheses a guard may have.  Flat ``&``
+#: and ``|`` chains are not nesting: they parse at any length.
+MAX_GUARD_DEPTH = 100
+
+
 class _GuardParser:
     """Recursive-descent parser for ``t f ! & |`` guards over AP indices."""
 
     def __init__(self, text: str, table: ApTable, line: int):
         self.tokens = re.findall(r"\d+|[tf!&|()]|\S", text)
         self.pos = 0
+        self.depth = 0
         self.table = table
         self.line = line
 
@@ -212,12 +219,17 @@ class _GuardParser:
 
     def unary(self) -> BoolExpr:
         tok = self.take()
-        if tok == "!":
-            return Not(self.unary())
-        if tok == "(":
-            expr = self.disj()
-            if self.take() != ")":
-                self.fail("expected ')'")
+        if tok == "!" or tok == "(":
+            self.depth += 1
+            if self.depth > MAX_GUARD_DEPTH:
+                self.fail(f"nested deeper than {MAX_GUARD_DEPTH} levels")
+            if tok == "!":
+                expr: BoolExpr = Not(self.unary())
+            else:
+                expr = self.disj()
+                if self.take() != ")":
+                    self.fail("expected ')'")
+            self.depth -= 1
             return expr
         if tok == "t":
             return Lit(True)
@@ -232,38 +244,19 @@ class _GuardParser:
         raise AssertionError  # unreachable
 
 
-def _guard_fmt(expr: BoolExpr, min_level: int, table: ApTable) -> str:
-    """Render a guard using only ``t ! & |``, parentheses and AP indices;
-    parenthesised if it binds more loosely than ``min_level``."""
-    match expr:
-        case Lit(value):
-            return "t" if value else "!t"
-        case Var(name):
-            return str(table.bit(name))
-        case Not(arg):
-            return "!" + _guard_fmt(arg, 3, table)
-        case And(l, r):
-            s = _guard_fmt(l, 2, table) + " & " + _guard_fmt(r, 3, table)
-            return "(" + s + ")" if 2 < min_level else s
-        case Or(l, r):
-            s = _guard_fmt(l, 1, table) + " | " + _guard_fmt(r, 2, table)
-            return "(" + s + ")" if 1 < min_level else s
-        case Implies(l, r):
-            return _guard_fmt(Or(Not(l), r), min_level, table)
-        case Iff(l, r):
-            rewritten = Or(And(l, r), And(Not(l), Not(r)))
-            return _guard_fmt(rewritten, min_level, table)
-    raise TypeError(f"not a boolean expression: {expr!r}")
-
-
 # ---------------------------------------------------------------------------
 # emitter
 
 
-def emit_hoa(aut: OmegaAutomaton, table: ApTable) -> str:
-    """Serialise a validated automaton; stable under parse/emit round-trips."""
-    acc = aut.acceptance
-    match acc:
+def emit_letter_table(targets, initial: int, acceptance, table: ApTable) -> str:
+    """Serialise the automaton with the dense ``state x letter -> target``
+    table ``targets`` (rows of ints, or a 2-d array).
+
+    Each state gets one edge per target, in ascending target order.  Its
+    guard is ``t`` if the edge covers every letter, and otherwise the
+    disjunction of its letters' minterms (``0 & !1 & 2``) in letter order."""
+    rows = np.asarray(targets).tolist()
+    match acceptance:
         case Buchi(accepting):
             acc_name = "Buchi"
             sets = [accepting]
@@ -272,7 +265,7 @@ def emit_hoa(aut: OmegaAutomaton, table: ApTable) -> str:
             sets = [rejecting]
         case OnePairRabin(persistent, recurrent):
             acc_name = "Rabin 1"
-            sets = [frozenset(range(aut.n_states)) - persistent, recurrent]
+            sets = [frozenset(range(len(rows))) - persistent, recurrent]
         case Parity(colours, n_colours):
             acc_name = f"parity max even {n_colours}"
             sets = [frozenset(s for s, c in enumerate(colours) if c == k)
@@ -281,30 +274,40 @@ def emit_hoa(aut: OmegaAutomaton, table: ApTable) -> str:
             acc_name = "safety"
             sets = []
         case _:
-            raise UnsupportedFeature(type(acc).__name__)
-
-    if acc_name.startswith("parity"):
-        formula = _parity_max_even_formula(len(sets))
-    else:
-        _, formula = _CANONICAL_ACCEPTANCE[acc_name]
-
+            raise UnsupportedFeature(type(acceptance).__name__)
+    formula = (_parity_max_even_formula(len(sets)) if isinstance(acceptance, Parity)
+               else _CANONICAL_ACCEPTANCE[acc_name][1])
     lines = [
         "HOA: v1",
-        f"States: {aut.n_states}",
-        f"Start: {aut.initial}",
+        f"States: {len(rows)}",
+        f"Start: {initial}",
         "AP: " + " ".join([str(table.size)] + [f'"{n}"' for n in table.names]),
         f"acc-name: {acc_name}",
         f"Acceptance: {len(sets)} {formula}",
         "--BODY--",
     ]
-    for s in range(aut.n_states):
+    minterms = [" & ".join(str(i) if letter >> i & 1 else f"!{i}" for i in range(table.size))
+                for letter in table.letters()]
+    for s, row in enumerate(rows):
         membership = [k for k, ss in enumerate(sets) if s in ss]
         suffix = " {" + " ".join(map(str, membership)) + "}" if membership else ""
         lines.append(f"State: {s}{suffix}")
-        for guard, target in aut.edges[s]:
-            lines.append(f"[{_guard_fmt(guard, 0, table)}] {target}")
+        by_target: dict[int, list[str]] = {}
+        for term, target in zip(minterms, row):
+            by_target.setdefault(target, []).append(term)
+        for target in sorted(by_target):
+            terms = by_target[target]
+            guard = "t" if len(terms) == len(minterms) else " | ".join(terms)
+            lines.append(f"[{guard}] {target}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
+
+
+def emit_hoa(aut: OmegaAutomaton, table: ApTable) -> str:
+    """Serialise an automaton through its letter table (see
+    :func:`emit_letter_table`); stable under parse/emit round-trips.  Raises
+    :class:`ValidationError` unless the automaton is deterministic and total."""
+    return emit_letter_table(transition_table(aut, table), aut.initial, aut.acceptance, table)
 
 
 # ---------------------------------------------------------------------------
@@ -474,30 +477,3 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
     )
     transition_table(aut, table)
     return aut, table
-
-
-def automaton_from_letter_table(
-    targets: list[list[int]],
-    initial: int,
-    acceptance,
-    table: ApTable,
-) -> OmegaAutomaton:
-    """Build an automaton from a dense letter table, merging letters with a
-    common target into one disjunctive guard."""
-    edges = []
-    for row in targets:
-        by_target: dict[int, list[int]] = {}
-        for letter, target in enumerate(row):
-            by_target.setdefault(target, []).append(letter)
-        state_edges = []
-        for target in sorted(by_target):
-            letters = by_target[target]
-            if len(letters) == table.n_letters:
-                guard: BoolExpr = Lit(True)
-            else:
-                guard = any_of(minterm(letter, table) for letter in letters)
-            state_edges.append((guard, target))
-        edges.append(tuple(state_edges))
-    return OmegaAutomaton(
-        n_states=len(targets), initial=initial,
-        edges=tuple(edges), acceptance=acceptance)

@@ -417,8 +417,8 @@ def _reachable_counterstrategy(
         v = stack.pop()
         if v not in moves:
             moves[v] = letter = solution.env_strategy[v]
-            middle = game.env_move(v, letter)
-            stack.extend(game.system_move(middle, y) for y in range(game.n_outputs))
+            # the letters with input ``letter`` are every n_inputs-th from it
+            stack.extend(game.transitions[v, letter::game.n_inputs].tolist())
     return dict(sorted(moves.items()))
 
 

@@ -35,12 +35,10 @@ from .automata import (
     Buchi,
     CoBuchi,
     OmegaAutomaton,
-    Parity,
     transition_table,
     validate,  # unused here; perfbench/tracing.py times product.validate
 )
 from .boolexpr import ApTable
-from .hoa import automaton_from_letter_table
 
 
 class CapacityExceeded(Exception):
@@ -350,9 +348,3 @@ def build_product(
     transitions.flags.writeable = keys.flags.writeable = False
     return ParityAutomaton(table, len(keys), 0, transitions, tuple(colours.tolist()),
                            keys, key_space)
-
-
-def product_to_automaton(pa: ParityAutomaton) -> OmegaAutomaton:
-    """View of the product as a plain parity automaton (five colour sets)."""
-    return automaton_from_letter_table(
-        pa.transitions.tolist(), pa.initial, Parity(pa.colours, 5), pa.table)

@@ -12,7 +12,7 @@ import numpy as np
 from .automata import Buchi, CoBuchi, Lasso, OmegaAutomaton, OnePairRabin, Safety
 from .boolexpr import ApTable
 from .game import SynthesisGame
-from .hoa import automaton_from_letter_table
+from .hoa import emit_letter_table, parse_hoa
 from .ltl import (
     Always,
     NextResponse,
@@ -64,7 +64,8 @@ def random_letter_automaton(
     n_states: int,
     acceptance_kind: str,
 ) -> OmegaAutomaton:
-    """Total deterministic automaton with uniformly random letter targets."""
+    """Total deterministic automaton with uniformly random letter targets,
+    read back from the HOA document that describes it."""
     targets = [[rng.randrange(n_states) for _ in table.letters()]
                for _ in range(n_states)]
     if acceptance_kind == "safety":
@@ -82,8 +83,8 @@ def random_letter_automaton(
             recurrent=_random_subset(rng, n_states))
     else:
         raise ValueError(f"unknown acceptance kind {acceptance_kind!r}")
-    return automaton_from_letter_table(
-        targets, rng.randrange(n_states), acceptance, table)
+    return parse_hoa(emit_letter_table(
+        targets, rng.randrange(n_states), acceptance, table))[0]
 
 
 def _random_subset(rng: random.Random, n: int) -> frozenset[int]:

@@ -12,7 +12,6 @@ from rabinsynth.boolexpr import (
     Var,
     evaluate,
     format_expr,
-    minterm,
 )
 from rabinsynth.ltl import _Parser, _tokenize  # boolean grammar shared with patterns
 
@@ -78,13 +77,6 @@ class TestEvaluate:
         assert evaluate(Implies(b, a), only_a, table)
         assert not evaluate(Iff(a, b), only_a, table)
         assert evaluate(Or(b, Lit(True)), 0, table)
-
-    def test_minterm_characterises_its_letter(self):
-        table = ApTable(("a", "b", "c"))
-        for letter in table.letters():
-            term = minterm(letter, table)
-            matches = [x for x in table.letters() if evaluate(term, x, table)]
-            assert matches == [letter]
 
 
 @given(exprs())

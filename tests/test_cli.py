@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from rabinsynth import pipeline
@@ -8,6 +9,9 @@ from rabinsynth.automata import Lasso
 from rabinsynth.cli import load_spec_problem, run
 from rabinsynth.hoa import parse_hoa
 from rabinsynth.mealy import machine_from_json
+from rabinsynth.pipeline import normalize_problem
+from rabinsynth.product import build_product
+from rabinsynth.rand import arbiter_problem
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -98,6 +102,21 @@ class TestProduct:
     def test_stdout_default(self, capsys):
         assert run(["product", corpus("arbiter.json")]) == 0
         assert capsys.readouterr().out.startswith("HOA: v1")
+
+    def test_three_client_arbiter_within_budget(self, tmp_path, capsys):
+        problem = arbiter_problem(3)
+        spec = tmp_path / "arbiter3.json"
+        spec.write_text(json.dumps({
+            "inputs": list(problem.inputs), "outputs": list(problem.outputs),
+            "assumptions": [{"ltl": c.ltl} for c in problem.assumptions],
+            "guarantees": [{"ltl": c.ltl} for c in problem.guarantees],
+        }), encoding="utf-8")
+        out = tmp_path / "product.hoa"
+        started = time.perf_counter()
+        assert run(["product", str(spec), "--out", str(out)]) == 0
+        assert time.perf_counter() - started < 2.0
+        n_states = build_product(normalize_problem(problem)).n_states
+        assert f"\nStates: {n_states}\n" in out.read_text(encoding="utf-8")
 
 
 class TestVerifyCommand:

@@ -124,20 +124,3 @@ class TestSolvedExamples:
         # the winning move at the initial vertex keeps r false
         letter = solution.env_strategy[game.initial]
         assert not letter & 1
-
-
-class TestDebugDump:
-    def test_dump_lists_every_vertex_and_edge(self):
-        from rabinsynth.game import game_debug_dump
-
-        _, game = gf_game()
-        dump = game_debug_dump(game)
-        assert len(dump["vertices"]) == game.n_vertices
-        expected_edges = (game.n_env_vertices * game.n_inputs
-                          + game.n_system_vertices * game.n_outputs)
-        assert len(dump["edges"]) == expected_edges
-        assert all(v["colour"] == 0 for v in dump["vertices"]
-                   if v["owner"] == "system")
-        import json
-
-        json.dumps(dump)  # serialisable

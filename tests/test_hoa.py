@@ -3,9 +3,24 @@ import re
 
 import pytest
 
-from rabinsynth.automata import Buchi, OnePairRabin, Parity, ValidationError
-from rabinsynth.boolexpr import ApTable
-from rabinsynth.hoa import HoaError, UnsupportedFeature, emit_hoa, parse_hoa
+from rabinsynth.automata import (
+    Buchi,
+    OmegaAutomaton,
+    OnePairRabin,
+    Parity,
+    Safety,
+    ValidationError,
+    transition_table,
+)
+from rabinsynth.boolexpr import ApTable, Not, Var
+from rabinsynth.hoa import (
+    MAX_GUARD_DEPTH,
+    HoaError,
+    UnsupportedFeature,
+    emit_hoa,
+    emit_letter_table,
+    parse_hoa,
+)
 from rabinsynth.rand import random_letter_automaton
 
 from helpers import letter_table
@@ -133,6 +148,44 @@ State: 0
             parse_hoa(text)
 
 
+class TestGuardDepth:
+    """Deep guards raise :class:`HoaError` at their line; long flat chains,
+    which the writer emits, parse and validate."""
+
+    def refused_at_guard_line(self, guard: str):
+        with pytest.raises(HoaError, match="nested deeper") as err:
+            parse_hoa(MINIMAL_BUCHI.replace("[t] 0", f"[{guard}] 0"))
+        assert err.value.line == 9
+
+    def test_long_negation_run_is_refused(self):
+        self.refused_at_guard_line("!" * 3000 + "t")
+
+    def test_deep_parentheses_are_refused(self):
+        self.refused_at_guard_line("(" * 3000 + "t" + ")" * 3000)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        deepest = "!" + "(" * (MAX_GUARD_DEPTH - 2) + "!t" + ")" * (MAX_GUARD_DEPTH - 2)
+        aut, table = parse_hoa(MINIMAL_BUCHI.replace("[t] 0", f"[{deepest}] 0"))
+        assert letter_table(aut, table) == [[0, 0]]
+        self.refused_at_guard_line("(" + deepest + ")")
+
+    @pytest.mark.parametrize("op", ["|", "&"])
+    def test_flat_chain_of_any_length_parses(self, op):
+        literals = ["0", "!0"] * 800 if op == "|" else ["t"] * 1600
+        guard = f" {op} ".join(literals)
+        aut, table = parse_hoa(MINIMAL_BUCHI.replace("[t] 0", f"[{guard}] 0"))
+        # (the reference evaluator in helpers recurses along the chain)
+        assert transition_table(aut, table) == [[0, 0]]
+
+    def test_long_written_guard_reads_back(self):
+        table = ApTable(tuple(f"p{k}" for k in range(11)))
+        row = [0] * (table.n_letters - 1) + [1]
+        text = emit_letter_table([row, row], 0, Safety(), table)
+        aut, parsed_table = parse_hoa(text)
+        assert transition_table(aut, parsed_table) == [row, row]
+        assert emit_hoa(aut, parsed_table) == text
+
+
 def assert_isomorphic(a, ta, b, tb):
     assert a.n_states == b.n_states
     assert a.initial == b.initial
@@ -157,6 +210,10 @@ class TestRoundTrip:
             parsed, table = parse_hoa(text)
             assert_isomorphic(aut, self.TABLE, parsed, table)
 
+    def test_random_automaton_is_its_document(self):
+        for aut in self.sample_automata():
+            assert parse_hoa(emit_hoa(aut, self.TABLE))[0] == aut
+
     def test_round_trip_parity(self):
         rng = random.Random(5)
         base = random_letter_automaton(rng, self.TABLE, 4, "buchi")
@@ -178,6 +235,15 @@ class TestRoundTrip:
         text = emit_hoa(aut, self.TABLE)
         assert "acc-name: safety" in text
         assert "Acceptance: 0 t" in text
+
+    @pytest.mark.parametrize("edges", [
+        ((Var("p"), 0), (Var("p"), 0), (Not(Var("p")), 0)),  # p guards two edges
+        ((Var("p"), 0),),  # no edge for !p
+    ], ids=["nondeterministic", "partial"])
+    def test_invalid_automaton_is_refused(self, edges):
+        aut = OmegaAutomaton(1, 0, (edges,), Buchi(frozenset({0})))
+        with pytest.raises(ValidationError):
+            emit_hoa(aut, self.TABLE)
 
     def test_emitted_guard_grammar(self):
         for aut in self.sample_automata():
