@@ -17,7 +17,7 @@ import random
 import sys
 import time
 
-from rabinsynth.automata import Parity, transition_table
+from rabinsynth.automata import Parity
 from rabinsynth.hoa import emit_letter_table, parse_hoa
 from rabinsynth.pipeline import (
     Realizable, differential_test, normalize_problem, sampled_differential, synthesize)
@@ -60,9 +60,9 @@ def run_differential(args) -> int:
         for region in reached:
             reached[region] += region in report.regions
         pa = build_product(spec)
-        parsed, table = parse_hoa(emit_letter_table(
+        parsed, _ = parse_hoa(emit_letter_table(
             pa.transitions, pa.initial, Parity(pa.colours, 5), pa.table))
-        if (transition_table(parsed, table) != pa.transitions.tolist()
+        if (parsed.targets.tolist() != pa.transitions.tolist()
                 or parsed.acceptance.colours != pa.colours):
             not_read_back += 1
             print(f"  spec {i}: product HOA reads back differently")

@@ -1,8 +1,10 @@
 """Deterministic, total omega-automata and lasso-word acceptance.
 
-States are dense 0-based indices.  Every automaton is expected to be
-deterministic and total over the proposition table it is evaluated against:
-for each state and each concrete letter exactly one outgoing guard holds.
+States are dense 0-based indices.  An automaton is stored as a letter table
+over its own proposition table: exactly one successor per state and letter.
+Guard-labelled edges are read once, by :meth:`OmegaAutomaton.from_edges`,
+which evaluates every guard as a letter set and refuses a nondeterministic or
+partial automaton; read over a larger table, the stored table is projected.
 Words are handled in ultimately-periodic (lasso) form, which suffices to
 decide every acceptance condition implemented here.  Those are exactly the
 kinds the synthesis pipeline reads or produces: safety, Buchi, co-Buchi and
@@ -12,9 +14,12 @@ one-pair Rabin conjuncts, and the parity condition of the product.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, Sequence, Union
 
-from .boolexpr import ApTable, BoolExpr, evaluate, letter_set, letters_in
+import numpy as np
+
+from .boolexpr import ApTable, BoolExpr, letter_set, letters_in
 
 
 @dataclass(frozen=True)
@@ -61,18 +66,80 @@ Acceptance = Union[Safety, Buchi, CoBuchi, OnePairRabin, Parity]
 CONJUNCT_KINDS = (Safety, Buchi, CoBuchi, OnePairRabin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OmegaAutomaton:
-    """Deterministic omega-automaton with guard-labelled edges.
+    """Deterministic, total omega-automaton over the propositions of ``table``.
 
-    ``edges[s]`` lists ``(guard, target)`` pairs; the guards of one state must
-    partition the letter space of the table the automaton is used with.
+    ``targets`` is a read-only int32 array of shape ``(n_states,
+    table.n_letters)``: ``targets[s, letter]`` is the successor of state ``s``.
+    Automata compare by identity; :meth:`from_edges` is the checked way in.
     """
 
-    n_states: int
+    table: ApTable
     initial: int
-    edges: tuple[tuple[tuple[BoolExpr, int], ...], ...]
+    targets: np.ndarray
     acceptance: Acceptance
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=np.int32))
+        self.targets.flags.writeable = False
+
+    @property
+    def n_states(self) -> int:
+        return len(self.targets)
+
+    @classmethod
+    def from_edges(
+        cls,
+        table: ApTable,
+        initial: int,
+        edges: Sequence[Sequence[tuple[BoolExpr, int]]],
+        acceptance: Acceptance,
+    ) -> OmegaAutomaton:
+        """The automaton whose state ``s`` has the ``(guard, target)`` pairs
+        ``edges[s]``; the guards of one state must partition the letters of
+        ``table``.  Every guard is evaluated once, as the set of letters it
+        holds on; the letters no guard covers and the letters two guards cover
+        follow by set algebra.  Raises :class:`ValidationError` with every
+        range issue, or else with every determinism and totality issue."""
+        issues: list[ValidationIssue] = []
+        n = len(edges)
+        if n == 0:
+            raise ValidationError([RangeError("automaton must have at least one state")])
+        if not 0 <= initial < n:
+            issues.append(RangeError(f"initial state {initial} out of range"))
+        for s, state_edges in enumerate(edges):
+            for _, target in state_edges:
+                if not 0 <= target < n:
+                    issues.append(RangeError(f"edge target {target} of state {s} out of range"))
+        state_sets = [v for v in vars(acceptance).values() if isinstance(v, frozenset)]
+        issues += [RangeError(f"acceptance set member {s} out of range")
+                   for ss in state_sets for s in ss if not 0 <= s < n]
+        if isinstance(acceptance, Parity):
+            if len(acceptance.colours) != n:
+                issues.append(RangeError("parity colour map must cover every state"))
+            else:
+                for s, c in enumerate(acceptance.colours):
+                    if not 0 <= c < acceptance.n_colours:
+                        issues.append(RangeError(f"colour {c} of state {s} out of range"))
+        if issues:
+            raise ValidationError(issues)
+        rows = []
+        for s, state_edges in enumerate(edges):
+            covered = overlap = 0
+            row = [-1] * table.n_letters
+            for guard, target in state_edges:
+                letters = letter_set(guard, table)
+                overlap |= covered & letters
+                covered |= letters
+                for letter in letters_in(letters):
+                    row[letter] = target
+            issues += [(NondeterministicEdge if overlap >> letter & 1 else MissingEdge)(s, letter)
+                       for letter in letters_in(overlap | (1 << table.n_letters) - 1 ^ covered)]
+            rows.append(row)
+        if issues:
+            raise ValidationError(issues)
+        return cls(table, initial, rows, acceptance)
 
 
 @dataclass(frozen=True)
@@ -116,7 +183,8 @@ ValidationIssue = Union[NondeterministicEdge, MissingEdge, RangeError]
 
 
 class ValidationError(Exception):
-    """Raised when an automaton is rejected by :func:`validate`."""
+    """Raised when an automaton is refused: by :meth:`OmegaAutomaton.from_edges`,
+    or by :func:`transition_table` over a table that lacks its propositions."""
 
     def __init__(self, issues: list[ValidationIssue]):
         self.issues = issues
@@ -126,22 +194,6 @@ class ValidationError(Exception):
 
 class WrongAcceptanceKind(Exception):
     pass
-
-
-def acceptance_state_sets(acc: Acceptance) -> tuple[frozenset[int], ...]:
-    """All state sets referenced by an acceptance condition."""
-    match acc:
-        case Safety():
-            return ()
-        case Buchi(accepting):
-            return (accepting,)
-        case CoBuchi(rejecting):
-            return (rejecting,)
-        case OnePairRabin(persistent, recurrent):
-            return (persistent, recurrent)
-        case Parity():
-            return ()
-    raise TypeError(f"not an acceptance condition: {acc!r}")
 
 
 def accepts_inf(acc: Acceptance, inf: frozenset[int]) -> bool:
@@ -161,72 +213,40 @@ def accepts_inf(acc: Acceptance, inf: frozenset[int]) -> bool:
 
 
 def validate(aut: OmegaAutomaton, table: ApTable) -> list[ValidationIssue]:
-    """Check determinism, totality and acceptance-set ranges.
-
-    Returns the empty list iff the automaton is usable with ``table``.
-    """
-    try:
-        transition_table(aut, table)
-    except ValidationError as exc:
-        return exc.issues
-    return []
+    """The issues that keep the automaton from being read over ``table``:
+    one per proposition of its own table that ``table`` does not name.
+    Returns the empty list iff :func:`transition_table` succeeds."""
+    return [RangeError(f"proposition {name!r} is not in the table")
+            for name in aut.table.names if name not in table]
 
 
-def transition_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
-    """Dense ``state x letter -> target`` table.  Every guard is evaluated
-    once, as the set of letters it holds on; the rows, the letters no guard
-    covers and the letters two guards cover follow by set algebra.  Raises
-    :class:`ValidationError` with every issue :func:`validate` reports."""
-    issues: list[ValidationIssue] = []
-    n = aut.n_states
-    if n <= 0:
-        raise ValidationError([RangeError("automaton must have at least one state")])
-    if not 0 <= aut.initial < n:
-        issues.append(RangeError(f"initial state {aut.initial} out of range"))
-    if len(aut.edges) != n:
-        raise ValidationError(issues + [RangeError(
-            f"expected {n} edge lists, found {len(aut.edges)}")])
-    for s, state_edges in enumerate(aut.edges):
-        for _, target in state_edges:
-            if not 0 <= target < n:
-                issues.append(RangeError(f"edge target {target} of state {s} out of range"))
-    for ss in acceptance_state_sets(aut.acceptance):
-        for s in ss:
-            if not 0 <= s < n:
-                issues.append(RangeError(f"acceptance set member {s} out of range"))
-    if isinstance(aut.acceptance, Parity):
-        if len(aut.acceptance.colours) != n:
-            issues.append(RangeError("parity colour map must cover every state"))
-        else:
-            for s, c in enumerate(aut.acceptance.colours):
-                if not 0 <= c < aut.acceptance.n_colours:
-                    issues.append(RangeError(f"colour {c} of state {s} out of range"))
+def transition_table(aut: OmegaAutomaton, table: ApTable) -> np.ndarray:
+    """The automaton's letter table read over ``table``, whose names must
+    include the automaton's own: each letter of ``table`` is projected onto
+    the automaton's propositions.  The stored array itself when the tables
+    are equal.  Raises :class:`ValidationError` with the issues of
+    :func:`validate`."""
+    if aut.table == table:
+        return aut.targets
+    issues = validate(aut, table)
     if issues:
         raise ValidationError(issues)
-    rows = []
-    for s, state_edges in enumerate(aut.edges):
-        covered = overlap = 0
-        row = [-1] * table.n_letters
-        for guard, target in state_edges:
-            letters = letter_set(guard, table)
-            overlap |= covered & letters
-            covered |= letters
-            for letter in letters_in(letters):
-                row[letter] = target
-        issues += [(NondeterministicEdge if overlap >> letter & 1 else MissingEdge)(s, letter)
-                   for letter in letters_in(overlap | (1 << table.n_letters) - 1 ^ covered)]
-        rows.append(row)
-    if issues:
-        raise ValidationError(issues)
-    return rows
+    return aut.targets[:, _projection(aut.table, table)]
 
 
-def step(aut: OmegaAutomaton, state: int, letter: int, table: ApTable) -> int:
-    """Unique successor of ``state`` under ``letter``; assumes a valid automaton."""
-    for guard, target in aut.edges[state]:
-        if evaluate(guard, letter, table):
-            return target
-    raise ValidationError([MissingEdge(state, letter)])
+@lru_cache(maxsize=64)
+def _projection(own: ApTable, table: ApTable) -> np.ndarray:
+    """Per letter of ``table``, the letter of ``own`` with the same values."""
+    letters = np.arange(table.n_letters)
+    projection = sum(((letters >> table.bit(name) & 1) << i for i, name in enumerate(own.names)),
+                     np.zeros_like(letters))
+    projection.flags.writeable = False  # the cache hands it to every caller
+    return projection
+
+
+def absorbing_states(aut: OmegaAutomaton) -> frozenset[int]:
+    """The states that every letter leads back to."""
+    return frozenset(s for s, row in enumerate(aut.targets.tolist()) if row.count(s) == len(row))
 
 
 def infinity_set(
@@ -260,15 +280,16 @@ def infinity_set(
 
 
 def eval_lasso(aut: OmegaAutomaton, lasso: Lasso, table: ApTable) -> bool:
-    """Acceptance verdict of the automaton on the lasso word."""
-    inf = infinity_set(lambda s, a: step(aut, s, a, table), aut.initial, lasso)
+    """Acceptance verdict of the automaton on the lasso word, whose letters
+    are over ``table``."""
+    inf = infinity_set(transition_table(aut, table).item, aut.initial, lasso)
     return accepts_inf(aut.acceptance, inf)
 
 
 def decompose_rabin(aut: OmegaAutomaton) -> tuple[OmegaAutomaton, OmegaAutomaton]:
     """Split a one-pair Rabin automaton into conjunctive parts.
 
-    Returns automata over the same transition structure: a co-Buchi one whose
+    Returns automata sharing the letter table: a co-Buchi one whose
     rejecting set is the complement of the persistence set, and a Buchi one
     accepting on the recurrence set.  A word is Rabin-accepted iff both parts
     accept it.

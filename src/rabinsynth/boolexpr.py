@@ -18,6 +18,12 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 #: ``2 ** size`` letters, and the time and memory double with each name.
 MAX_PROPOSITIONS = 20
 
+#: Deepest nesting the formula parsers accept (``!``, parentheses and, in
+#: pattern formulas, ``->`` and ``<->``), so that every formula walk stays
+#: inside the recursion limit.  Flat ``&`` and ``|`` chains are not nesting:
+#: they parse and are walked at any length.
+MAX_GUARD_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class ApTable:
@@ -124,27 +130,6 @@ TRUE = Lit(True)
 FALSE = Lit(False)
 
 
-def evaluate(expr: BoolExpr, letter: int, table: ApTable) -> bool:
-    """Evaluate ``expr`` under the assignment encoded by ``letter``."""
-    # an isinstance chain: guard evaluation is the front end's inner loop, and
-    # class patterns in a match statement cost several times as much
-    if isinstance(expr, Var):
-        return bool(letter >> table.bit(expr.name) & 1)
-    if isinstance(expr, Not):
-        return not evaluate(expr.arg, letter, table)
-    if isinstance(expr, And):
-        return evaluate(expr.left, letter, table) and evaluate(expr.right, letter, table)
-    if isinstance(expr, Or):
-        return evaluate(expr.left, letter, table) or evaluate(expr.right, letter, table)
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Implies):
-        return not evaluate(expr.left, letter, table) or evaluate(expr.right, letter, table)
-    if isinstance(expr, Iff):
-        return evaluate(expr.left, letter, table) == evaluate(expr.right, letter, table)
-    raise TypeError(f"not a boolean expression: {expr!r}")
-
-
 @lru_cache(maxsize=None)
 def proposition_sets(size: int) -> tuple[int, ...]:
     """Per proposition of a ``size``-name table, the letters in which it holds
@@ -202,18 +187,18 @@ def letters_in(letters: int) -> list[int]:
 
 
 def free_names(expr: BoolExpr) -> Iterator[str]:
-    match expr:
-        case Lit():
-            return
-        case Var(name):
-            yield name
-        case Not(arg):
-            yield from free_names(arg)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            yield from free_names(l)
-            yield from free_names(r)
-        case _:
-            raise TypeError(f"not a boolean expression: {expr!r}")
+    """The proposition names in ``expr``, with repeats."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Var):
+            yield e.name
+        elif isinstance(e, Not):
+            stack.append(e.arg)
+        elif isinstance(e, (And, Or, Implies, Iff)):
+            stack += (e.left, e.right)
+        elif not isinstance(e, Lit):
+            raise TypeError(f"not a boolean expression: {e!r}")
 
 
 # Precedence levels used by the printer; parenthesise a child whenever its

@@ -6,7 +6,8 @@ section of per-state blocks with guarded edges, closed by ``--END--``.
 Acceptance is state-based; automata must be deterministic and total.
 Emitted guards are ``t`` or a disjunction of minterms over AP indices
 (``0 & !1 | !0 & 1``); read guards may use ``t f ! & |`` and parentheses,
-with ``!`` and parentheses nested at most :data:`MAX_GUARD_DEPTH` deep.
+with ``!`` and parentheses nested at most :data:`MAX_GUARD_DEPTH` deep, as
+are the parentheses of an acceptance formula.
 
 Recognised acceptance names and their canonical ``Acceptance:`` lines:
 
@@ -36,6 +37,7 @@ from .automata import (
     transition_table,
 )
 from .boolexpr import (
+    MAX_GUARD_DEPTH,
     And,
     ApTable,
     BoolExpr,
@@ -65,15 +67,12 @@ class UnsupportedFeature(HoaError):
 
 
 def _parity_max_even_formula(n_sets: int) -> str:
-    formula = ""
-    for c in range(n_sets):
-        atom = f"Inf({c})" if c % 2 == 0 else f"Fin({c})"
-        if not formula:
-            formula = atom
-        else:
-            op = "|" if c % 2 == 0 else "&"
-            formula = f"{atom} {op} ({formula})"
-    return formula
+    """``Inf(0)``, then each further set c wrapping what came before:
+    ``Inf(c) | (...)`` for even c, ``Fin(c) & (...)`` for odd c."""
+    if n_sets == 0:
+        return ""
+    heads = [f"Inf({c}) | (" if c % 2 == 0 else f"Fin({c}) & (" for c in range(n_sets - 1, 0, -1)]
+    return "".join(heads) + "Inf(0)" + ")" * (n_sets - 1)
 
 
 _CANONICAL_ACCEPTANCE = {
@@ -91,7 +90,7 @@ def _parse_acc_formula(text: str, line: int):
     tokens = _ACC_TOKEN.findall(text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise HoaError(f"cannot tokenise acceptance formula {text!r}", line)
-    pos = 0
+    pos = depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -104,19 +103,25 @@ def _parse_acc_formula(text: str, line: int):
         return tokens[pos - 1]
 
     def atom():
+        nonlocal depth
         tok = take()
         if tok in ("Fin", "Inf"):
             take("(")
             k = take()
-            if not k.isdigit():
+            if not k.isdecimal():
                 raise HoaError(f"malformed acceptance formula {text!r}", line)
             take(")")
             return (tok.lower(), int(k))
         if tok in ("t", "f"):
             return (tok,)
         if tok == "(":
+            depth += 1
+            if depth > MAX_GUARD_DEPTH:
+                raise HoaError(f"acceptance formula nested deeper than {MAX_GUARD_DEPTH} "
+                               "levels", line)
             inner = disj()
             take(")")
+            depth -= 1
             return inner
         raise HoaError(f"malformed acceptance formula {text!r}", line)
 
@@ -151,7 +156,12 @@ def _parse_acc_formula(text: str, line: int):
 
 
 def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) -> None:
+    mismatch = HoaError(
+        f"acceptance formula {formula!r} does not match acc-name {acc_name!r}", line)
     if acc_name.startswith("parity"):
+        # the canonical formula names each set once: count before writing it out
+        if len(re.findall(r"Fin|Inf", formula)) != n_sets:
+            raise mismatch
         expected = _parity_max_even_formula(n_sets)
     else:
         expected_sets, expected = _CANONICAL_ACCEPTANCE[acc_name]
@@ -160,18 +170,11 @@ def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) 
                 f"acceptance declares {n_sets} sets, {acc_name} uses {expected_sets}",
                 line)
     if _parse_acc_formula(formula, line) != _parse_acc_formula(expected, line):
-        raise HoaError(
-            f"acceptance formula {formula!r} does not match acc-name {acc_name!r}",
-            line)
+        raise mismatch
 
 
 # ---------------------------------------------------------------------------
 # guards over AP indices
-
-
-#: Deepest nesting of ``!`` and parentheses a guard may have.  Flat ``&``
-#: and ``|`` chains are not nesting: they parse at any length.
-MAX_GUARD_DEPTH = 100
 
 
 class _GuardParser:
@@ -235,7 +238,7 @@ class _GuardParser:
             return Lit(True)
         if tok == "f":
             return Lit(False)
-        if tok.isdigit():
+        if tok.isdecimal():
             index = int(tok)
             if index >= self.table.size:
                 self.fail(f"AP index {index} out of range")
@@ -318,7 +321,10 @@ _HEADERS = ("HOA", "States", "Start", "AP", "acc-name", "Acceptance")
 
 
 def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
-    """Parse a document; the result always passes :func:`validate`."""
+    """Parse a document into an automaton over the table of its ``AP:`` line.
+    Raises :class:`HoaError` on a malformed document and
+    :class:`~rabinsynth.automata.ValidationError` on a nondeterministic or
+    partial automaton."""
     headers: dict[str, tuple[str, int]] = {}
     lines = text.splitlines()
     body_start = None
@@ -348,19 +354,19 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
                                  headers["HOA"][1])
 
     value, line_no = headers["States"]
-    if not value.isdigit() or int(value) == 0:
+    if not value.isdecimal() or int(value) == 0:
         raise HoaError(f"bad state count {value!r}", line_no)
     n_states = int(value)
 
     value, line_no = headers["Start"]
-    if not value.isdigit():
+    if not value.isdecimal():
         raise HoaError(f"bad start state {value!r}", line_no)
     initial = int(value)
 
     value, line_no = headers["AP"]
     parts = re.findall(r'"([^"]*)"|(\S+)', value)
     flat = [a or b for a, b in parts]
-    if not flat or not flat[0].isdigit():
+    if not flat or not flat[0].isdecimal():
         raise HoaError(f"bad AP header {value!r}", line_no)
     if int(flat[0]) != len(flat) - 1:
         raise HoaError("AP count does not match the number of names", line_no)
@@ -468,12 +474,6 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
             colours.append(next(iter(member)))
         acceptance = Parity(tuple(colours), n_colours)
 
-    aut = OmegaAutomaton(
-        n_states=n_states,
-        initial=initial,
-        edges=tuple(tuple(edge_list) for edge_list in
-                    (edges[s] for s in range(n_states))),
-        acceptance=acceptance,
-    )
-    transition_table(aut, table)
+    aut = OmegaAutomaton.from_edges(
+        table, initial, [edges[s] for s in range(n_states)], acceptance)
     return aut, table

@@ -18,7 +18,7 @@ input path, which accepts arbitrary Rabin-index-1 properties.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .automata import (
@@ -28,10 +28,11 @@ from .automata import (
     OmegaAutomaton,
     OnePairRabin,
     Safety,
+    absorbing_states,
     decompose_rabin,
-    transition_table,
 )
 from .boolexpr import (
+    MAX_GUARD_DEPTH,
     And,
     ApTable,
     BoolExpr,
@@ -122,6 +123,13 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nest(self) -> None:
+        """Enter one more level of ``!``, parentheses, ``->`` or ``<->``."""
+        self.depth += 1
+        if self.depth > MAX_GUARD_DEPTH:
+            raise LtlError(f"formula nested deeper than {MAX_GUARD_DEPTH} levels")
 
     def peek(self, ahead: int = 0) -> str | None:
         i = self.pos + ahead
@@ -138,17 +146,26 @@ class _Parser:
 
     # boolean grammar: <-> binds loosest, then ->, |, &, !
     def bool_expr(self) -> BoolExpr:
-        expr = self.bool_implies()
+        return self.iff_chain(self.bool_implies())
+
+    def iff_chain(self, expr: BoolExpr) -> BoolExpr:
+        # a <-> chain nests to the left, one level per operator
+        depth = self.depth
         while self.peek() == "<->":
             self.take()
+            self.nest()
             expr = Iff(expr, self.bool_implies())
+        self.depth = depth
         return expr
 
-    def bool_implies(self) -> BoolExpr:
-        expr = self.bool_or()
+    def bool_implies(self, expr: BoolExpr | None = None) -> BoolExpr:
+        """An implication chain; ``expr``, if given, is its parsed first operand."""
+        expr = self.bool_or() if expr is None else expr
         if self.peek() == "->":
             self.take()
-            return Implies(expr, self.bool_implies())
+            self.nest()
+            expr = Implies(expr, self.bool_implies())
+            self.depth -= 1
         return expr
 
     def bool_or(self) -> BoolExpr:
@@ -167,11 +184,14 @@ class _Parser:
 
     def bool_unary(self) -> BoolExpr:
         tok = self.take()
-        if tok == "!":
-            return Not(self.bool_unary())
-        if tok == "(":
-            expr = self.bool_expr()
-            self.take(")")
+        if tok == "!" or tok == "(":
+            self.nest()
+            if tok == "!":
+                expr: BoolExpr = Not(self.bool_unary())
+            else:
+                expr = self.bool_expr()
+                self.take(")")
+            self.depth -= 1
             return expr
         if tok == "true":
             return Lit(True)
@@ -215,13 +235,7 @@ class _Parser:
             self.take(")")
             return NextResponse(left, right) if op == "X" else Response(left, right)
         # fall back to the boolean continuation of the invariant body
-        expr = left
-        if self.peek() == "->":
-            self.take()
-            expr = Implies(expr, self.bool_implies())
-        while self.peek() == "<->":
-            self.take()
-            expr = Iff(expr, self.bool_implies())
+        expr = self.iff_chain(self.bool_implies(left))
         self.take(")")
         return Always(expr)
 
@@ -312,69 +326,52 @@ def format_pattern(pattern: PatternFormula) -> str:
 
 
 def compile_pattern(pattern: PatternFormula, table: ApTable) -> OmegaAutomaton:
-    """Compile a pattern into a deterministic total automaton whose lasso
-    language matches the pattern semantics."""
+    """Compile a pattern into a deterministic total automaton over ``table``
+    whose lasso language matches the pattern semantics."""
     true_ = TRUE
 
-    def edges(*rows):
-        return tuple(tuple(row) for row in rows)
+    def automaton(acceptance, *rows):
+        # state 0 is initial
+        return OmegaAutomaton.from_edges(table, 0, rows, acceptance)
 
     match pattern:
         case StateInit(b):
             # 0: reads the first letter; 1: satisfied; 2: failed (both absorbing)
-            return OmegaAutomaton(
-                n_states=3, initial=0,
-                edges=edges(
-                    [(b, 1), (Not(b), 2)],
-                    [(true_, 1)],
-                    [(true_, 2)],
-                ),
-                acceptance=Buchi(frozenset({1})))
+            return automaton(
+                Buchi(frozenset({1})),
+                [(b, 1), (Not(b), 2)],
+                [(true_, 1)],
+                [(true_, 2)])
         case Always(b):
             # 0: invariant holds so far; 1: failure sink
-            return OmegaAutomaton(
-                n_states=2, initial=0,
-                edges=edges(
-                    [(b, 0), (Not(b), 1)],
-                    [(true_, 1)],
-                ),
-                acceptance=Buchi(frozenset({0})))
+            return automaton(
+                Buchi(frozenset({0})),
+                [(b, 0), (Not(b), 1)],
+                [(true_, 1)])
         case Recurrence(b):
             # 1 is entered exactly on letters satisfying the condition
-            return OmegaAutomaton(
-                n_states=2, initial=0,
-                edges=edges(
-                    [(Not(b), 0), (b, 1)],
-                    [(Not(b), 0), (b, 1)],
-                ),
-                acceptance=Buchi(frozenset({1})))
+            return automaton(
+                Buchi(frozenset({1})),
+                [(Not(b), 0), (b, 1)],
+                [(Not(b), 0), (b, 1)])
         case Persistence(b):
-            return OmegaAutomaton(
-                n_states=2, initial=0,
-                edges=edges(
-                    [(Not(b), 0), (b, 1)],
-                    [(Not(b), 0), (b, 1)],
-                ),
-                acceptance=CoBuchi(frozenset({0})))
+            return automaton(
+                CoBuchi(frozenset({0})),
+                [(Not(b), 0), (b, 1)],
+                [(Not(b), 0), (b, 1)])
         case NextResponse(t, r):
             # 0: no obligation; 1: the previous letter raised one; 2: failure sink
-            return OmegaAutomaton(
-                n_states=3, initial=0,
-                edges=edges(
-                    [(Not(t), 0), (t, 1)],
-                    [(And(r, Not(t)), 0), (And(r, t), 1), (Not(r), 2)],
-                    [(true_, 2)],
-                ),
-                acceptance=Buchi(frozenset({0, 1})))
+            return automaton(
+                Buchi(frozenset({0, 1})),
+                [(Not(t), 0), (t, 1)],
+                [(And(r, Not(t)), 0), (And(r, t), 1), (Not(r), 2)],
+                [(true_, 2)])
         case Response(t, r):
             # 0: idle; 1: waiting for the reaction
-            return OmegaAutomaton(
-                n_states=2, initial=0,
-                edges=edges(
-                    [(Or(Not(t), r), 0), (And(t, Not(r)), 1)],
-                    [(r, 0), (Not(r), 1)],
-                ),
-                acceptance=Buchi(frozenset({0})))
+            return automaton(
+                Buchi(frozenset({0})),
+                [(Or(Not(t), r), 0), (And(t, Not(r)), 1)],
+                [(r, 0), (Not(r), 1)])
     raise TypeError(f"not a pattern formula: {pattern!r}")
 
 
@@ -382,30 +379,21 @@ def compile_pattern(pattern: PatternFormula, table: ApTable) -> OmegaAutomaton:
 # conjunct normalisation
 
 
-def failure_sinks(aut: OmegaAutomaton, table: ApTable) -> frozenset[int]:
-    """Absorbing states of a safety automaton, read as violation markers.
-
-    Safety inputs must encode violations as absorbing sink states; a safety
-    automaton whose absorbing states mean something else has to be supplied
-    with an explicit Buchi acceptance instead.
-    """
-    return frozenset(s for s, row in enumerate(transition_table(aut, table))
-                     if all(t == s for t in row))
-
-
-def normalize(aut: OmegaAutomaton, table: ApTable) -> list[OmegaAutomaton]:
-    """Express one conjunct through Buchi/co-Buchi conjuncts of equal language.
+def normalize(aut: OmegaAutomaton) -> list[OmegaAutomaton]:
+    """Express one conjunct through Buchi/co-Buchi conjuncts of equal language,
+    all sharing its letter table.
 
     Safety automata become Buchi automata accepting everywhere outside their
     failure sinks; one-pair Rabin automata split into a co-Buchi and a Buchi
-    part; Buchi and co-Buchi conjuncts pass through unchanged.
+    part; Buchi and co-Buchi conjuncts pass through unchanged.  A safety
+    automaton's absorbing states are read as its failure sinks: one whose
+    absorbing states mean something else has to be supplied with an explicit
+    Buchi acceptance instead.
     """
     acc = aut.acceptance
     if isinstance(acc, Safety):
-        sinks = failure_sinks(aut, table)
-        return [OmegaAutomaton(
-            aut.n_states, aut.initial, aut.edges,
-            Buchi(frozenset(range(aut.n_states)) - sinks))]
+        return [replace(aut, acceptance=Buchi(
+            frozenset(range(aut.n_states)) - absorbing_states(aut)))]
     if isinstance(acc, (Buchi, CoBuchi)):
         return [aut]
     if isinstance(acc, OnePairRabin):

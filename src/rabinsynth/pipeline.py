@@ -111,7 +111,7 @@ def normalize_problem(problem: SpecProblem) -> NormalizedSpec:
         for source in sources:
             try:
                 for aut in _conjunct_automata(source, table):
-                    normalised.extend(normalize(aut, table))
+                    normalised.extend(normalize(aut))
             except NormalizationError:
                 raise
             except Exception as exc:

@@ -35,6 +35,7 @@ from .automata import (
     Buchi,
     CoBuchi,
     OmegaAutomaton,
+    absorbing_states,
     transition_table,
     validate,  # unused here; perfbench/tracing.py times product.validate
 )
@@ -93,9 +94,10 @@ class NormalizedSpec:
                 + self.buchi_guarantees + self.cobuchi_guarantees)
 
 
-def validate_normalized(spec: NormalizedSpec) -> tuple[ApTable, list[list[list[int]]]]:
-    """Check proposition disjointness, conjunct kinds and automaton validity;
-    return the joint table and every component's dense transition table."""
+def validate_normalized(spec: NormalizedSpec) -> tuple[ApTable, list[np.ndarray]]:
+    """Check proposition disjointness, conjunct kinds and that every component
+    reads over the joint table; return that table and every component's
+    letter table over it."""
     if set(spec.inputs) & set(spec.outputs):
         raise ValueError("input and output propositions must be disjoint")
     table = spec.table()
@@ -131,15 +133,13 @@ class ProductState(NamedTuple):
     region: int = LIVE
 
 
-def _losing_sinks(aut: OmegaAutomaton, rows: Sequence[Sequence[int]]) -> frozenset[int]:
+def _losing_sinks(aut: OmegaAutomaton) -> frozenset[int]:
     """Absorbing states in which a conjunct has lost for good: the
     non-accepting ones of a Buchi conjunct, the rejecting ones of a co-Buchi
-    conjunct.  ``rows`` is the automaton's dense transition table."""
+    conjunct."""
     acc = aut.acceptance
-    return frozenset(
-        s for s, row in enumerate(rows)
-        if all(t == s for t in row)
-        and (s in acc.rejecting if isinstance(acc, CoBuchi) else s not in acc.accepting))
+    absorbing = absorbing_states(aut)
+    return absorbing & acc.rejecting if isinstance(acc, CoBuchi) else absorbing - acc.accepting
 
 
 def _takes_counter_slot(aut: OmegaAutomaton, sinks: frozenset[int]) -> bool:
@@ -238,7 +238,7 @@ def build_product(
     n1 = len(spec.buchi_assumptions)
     na = n1 + len(spec.cobuchi_assumptions)
     n3 = len(spec.buchi_guarantees)
-    sinks = [_losing_sinks(aut, rows) for aut, rows in zip(components, component_tables)]
+    sinks = [_losing_sinks(aut) for aut in components]
     counted_a = [j for j in range(n1) if _takes_counter_slot(components[j], sinks[j])]
     counted_g = [j for j in range(na, na + n3)
                  if _takes_counter_slot(components[j], sinks[j])]
@@ -259,10 +259,9 @@ def build_product(
         np.array([radices, radices[:na] + untracked + [len(counted_a) + 1, 1, 1], [1] * (k + 3)]),
         np.arange(k) < np.array([[k], [na], [0]]))
 
-    weighted_tables = [np.array(rows, dtype=np.int64) * w
-                       for rows, w in zip(component_tables, weights)]
+    weighted_tables = [rows.astype(np.int64) * w for rows, w in zip(component_tables, weights)]
     # (component, whether each (state, letter) enters one of its losing sinks)
-    lost = [(j, np.array([[t in sinks[j] for t in row] for row in rows]))
+    lost = [(j, np.array([s in sinks[j] for s in range(len(rows))])[rows])
             for j, rows in enumerate(component_tables) if sinks[j]]
     width = max(radices)  # every digit indexes a row this wide
     rejecting = np.array([[isinstance(aut.acceptance, CoBuchi) and s in aut.acceptance.rejecting

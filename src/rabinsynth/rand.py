@@ -12,7 +12,6 @@ import numpy as np
 from .automata import Buchi, CoBuchi, Lasso, OmegaAutomaton, OnePairRabin, Safety
 from .boolexpr import ApTable
 from .game import SynthesisGame
-from .hoa import emit_letter_table, parse_hoa
 from .ltl import (
     Always,
     NextResponse,
@@ -64,8 +63,7 @@ def random_letter_automaton(
     n_states: int,
     acceptance_kind: str,
 ) -> OmegaAutomaton:
-    """Total deterministic automaton with uniformly random letter targets,
-    read back from the HOA document that describes it."""
+    """Total deterministic automaton with uniformly random letter targets."""
     targets = [[rng.randrange(n_states) for _ in table.letters()]
                for _ in range(n_states)]
     if acceptance_kind == "safety":
@@ -83,8 +81,7 @@ def random_letter_automaton(
             recurrent=_random_subset(rng, n_states))
     else:
         raise ValueError(f"unknown acceptance kind {acceptance_kind!r}")
-    return parse_hoa(emit_letter_table(
-        targets, rng.randrange(n_states), acceptance, table))[0]
+    return OmegaAutomaton(table, rng.randrange(n_states), targets, acceptance)
 
 
 def _random_subset(rng: random.Random, n: int) -> frozenset[int]:
@@ -129,7 +126,7 @@ def random_normalized_spec(
                 aut = random_letter_automaton(
                     rng, table, rng.randrange(2, max_component_states + 1),
                     rng.choice(automaton_kinds))
-            normalised.extend(normalize(aut, table))
+            normalised.extend(normalize(aut))
     return NormalizedSpec.from_conjuncts(inputs, outputs, *sides)
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: guards are
-evaluated letter by letter instead of as letter sets, lasso verdicts
+evaluated letter by letter instead of as letter sets, automata are read over
+a larger table one letter at a time by proposition name, lasso verdicts
 are computed by long-run simulation instead of boundary cycle detection,
 pattern semantics are decided by direct position analysis on the lasso,
 parity games are solved by a FIFO worklist attractor over Python lists,
@@ -28,7 +29,8 @@ from rabinsynth.automata import (
     Parity,
     Safety,
 )
-from rabinsynth.boolexpr import ApTable, evaluate
+from rabinsynth.boolexpr import (
+    And, ApTable, BoolExpr, Iff, Implies, Lit, Not, Or, TRUE, Var)
 from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame
 from rabinsynth.ltl import (
     Always,
@@ -49,28 +51,79 @@ from rabinsynth.product import (
 from rabinsynth.solvers import Solution
 
 
-def letter_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
+def evaluate(expr: BoolExpr, letter: int, table: ApTable) -> bool:
+    """Evaluate ``expr`` under the assignment encoded by ``letter``; the
+    per-letter reference for ``letter_set``."""
+    match expr:
+        case Var(name):
+            return bool(letter >> table.bit(name) & 1)
+        case Not(arg):
+            return not evaluate(arg, letter, table)
+        case And(left, right):
+            return evaluate(left, letter, table) and evaluate(right, letter, table)
+        case Or(left, right):
+            return evaluate(left, letter, table) or evaluate(right, letter, table)
+        case Lit(value):
+            return value
+        case Implies(left, right):
+            return not evaluate(left, letter, table) or evaluate(right, letter, table)
+        case Iff(left, right):
+            return evaluate(left, letter, table) == evaluate(right, letter, table)
+    raise TypeError(f"not a boolean expression: {expr!r}")
+
+
+def guard_table(edges, table: ApTable) -> list[list[int]]:
+    """The letter table of guard-labelled edges (``edges[s]`` lists the
+    ``(guard, target)`` pairs of state ``s``), every guard evaluated on every
+    letter."""
     rows = []
-    for s in range(aut.n_states):
+    for s, state_edges in enumerate(edges):
         row = []
         for letter in table.letters():
-            targets = [t for g, t in aut.edges[s] if evaluate(g, letter, table)]
+            targets = [t for g, t in state_edges if evaluate(g, letter, table)]
             assert len(targets) == 1, f"state {s} letter {letter}: {targets}"
             row.append(targets[0])
         rows.append(row)
     return rows
 
 
-def letter_issues(aut: OmegaAutomaton, table: ApTable) -> list:
+def guard_issues(edges, table: ApTable) -> list:
     """Determinism and totality issues found by evaluating every guard on
     every letter, state by state and letter by letter."""
     issues = []
-    for s in range(aut.n_states):
+    for s, state_edges in enumerate(edges):
         for letter in table.letters():
-            hits = [t for g, t in aut.edges[s] if evaluate(g, letter, table)]
+            hits = [t for g, t in state_edges if evaluate(g, letter, table)]
             if len(hits) != 1:
                 issues.append((NondeterministicEdge if hits else MissingEdge)(s, letter))
     return issues
+
+
+def minterm_edges(aut: OmegaAutomaton) -> tuple:
+    """Guard-labelled edges of an automaton's letter table: per state, one
+    edge per letter, guarded by the letter's minterm over ``aut.table``."""
+    def minterm(letter: int) -> BoolExpr:
+        guard: BoolExpr = TRUE
+        for i, name in enumerate(aut.table.names):
+            guard = And(guard, Var(name) if letter >> i & 1 else Not(Var(name)))
+        return guard
+
+    return tuple(tuple((minterm(letter), t) for letter, t in enumerate(row))
+                 for row in aut.targets.tolist())
+
+
+def letter_table(aut: OmegaAutomaton, table: ApTable) -> list[list[int]]:
+    """The automaton's successors over ``table``, whose names include its
+    own: each letter is read by proposition name, one letter at a time."""
+    own = [aut.table.letter(n for n in table.letter_names(letter) if n in aut.table)
+           for letter in table.letters()]
+    return [[row[a] for a in own] for row in aut.targets.tolist()]
+
+
+def same_automaton(a: OmegaAutomaton, b: OmegaAutomaton) -> bool:
+    """Equal tables, initial states, letter tables and acceptance."""
+    return (a.table == b.table and a.initial == b.initial
+            and a.targets.tolist() == b.targets.tolist() and a.acceptance == b.acceptance)
 
 
 def naive_inf_set(tt: list[list[int]], initial: int, lasso: Lasso) -> frozenset[int]:
@@ -460,8 +513,8 @@ def reference_product(
 ) -> tuple[list[list[int]], list[int], list[ProductState]]:
     """The reachable parity product as (transitions, colours, states), built
     by a FIFO breadth-first search over ``ProductState`` values, one state
-    and one letter at a time, with guards evaluated per letter.  A state's
-    number is its discovery order."""
+    and one letter at a time, with components read by :func:`letter_table`.
+    A state's number is its discovery order."""
     table = spec.table()
     automata = spec.components
     rows = [letter_table(aut, table) for aut in automata]

@@ -26,7 +26,8 @@ from rabinsynth.boolexpr import (
     FALSE, And, ApTable, Iff, Implies, Lit, Not, Or, TRUE, Var, proposition_sets)
 from rabinsynth.rand import random_letter_automaton
 
-from helpers import all_lassos, letter_issues, letter_table, naive_lasso_verdict
+from helpers import (
+    all_lassos, guard_issues, guard_table, letter_table, minterm_edges, naive_lasso_verdict)
 
 P = ApTable(("p",))
 PQ = ApTable(("p", "q"))
@@ -36,38 +37,53 @@ def tracker(acceptance) -> OmegaAutomaton:
     """Two states: 1 is entered exactly on letters satisfying p."""
     p = Var("p")
     row = ((Not(p), 0), (p, 1))
-    return OmegaAutomaton(2, 0, (row, row), acceptance)
+    return OmegaAutomaton.from_edges(P, 0, (row, row), acceptance)
+
+
+def issues_of(table, initial, edges, acceptance) -> list:
+    """The issues :meth:`OmegaAutomaton.from_edges` raises, or ``[]``."""
+    try:
+        OmegaAutomaton.from_edges(table, initial, edges, acceptance)
+    except ValidationError as exc:
+        return exc.issues
+    return []
 
 
 class TestValidate:
+    """The issues the constructor raises."""
+
     def test_true_self_loop_is_total(self):
-        aut = OmegaAutomaton(1, 0, (((TRUE, 0),),), Buchi(frozenset({0})))
-        assert validate(aut, P) == []
+        aut = OmegaAutomaton.from_edges(P, 0, (((TRUE, 0),),), Buchi(frozenset({0})))
+        assert aut.targets.tolist() == [[0, 0]]
+        assert validate(aut, P) == validate(aut, PQ) == []
 
     def test_overlapping_guards(self):
-        aut = OmegaAutomaton(
-            1, 0, (((Var("p"), 0), (Or(Var("p"), Var("q")), 0)),), Safety())
-        issues = validate(aut, PQ)
+        issues = issues_of(
+            PQ, 0, (((Var("p"), 0), (Or(Var("p"), Var("q")), 0)),), Safety())
         both = PQ.letter(["p", "q"])
         assert NondeterministicEdge(0, both) in issues
 
     def test_missing_edge(self):
-        aut = OmegaAutomaton(
-            2, 0, (((TRUE, 1),), ((Var("p"), 1),)), Safety())
-        issues = validate(aut, P)
+        issues = issues_of(P, 0, (((TRUE, 1),), ((Var("p"), 1),)), Safety())
         assert issues == [MissingEdge(1, 0)]
 
     def test_target_out_of_range(self):
-        aut = OmegaAutomaton(1, 0, (((TRUE, 3),),), Safety())
-        assert any(isinstance(i, RangeError) for i in validate(aut, P))
+        issues = issues_of(P, 0, (((TRUE, 3),),), Safety())
+        assert any(isinstance(i, RangeError) for i in issues)
 
     def test_acceptance_set_out_of_range(self):
-        aut = OmegaAutomaton(1, 0, (((TRUE, 0),),), Buchi(frozenset({5})))
-        assert any(isinstance(i, RangeError) for i in validate(aut, P))
+        issues = issues_of(P, 0, (((TRUE, 0),),), Buchi(frozenset({5})))
+        assert any(isinstance(i, RangeError) for i in issues)
 
     def test_parity_colour_map_checked(self):
-        aut = OmegaAutomaton(2, 0, (((TRUE, 0),), ((TRUE, 1),)), Parity((0,), 2))
-        assert any(isinstance(i, RangeError) for i in validate(aut, P))
+        issues = issues_of(P, 0, (((TRUE, 0),), ((TRUE, 1),)), Parity((0,), 2))
+        assert any(isinstance(i, RangeError) for i in issues)
+
+    def test_table_without_its_propositions_is_refused(self):
+        aut = OmegaAutomaton.from_edges(PQ, 0, (((TRUE, 0),),), Safety())
+        assert validate(aut, P) == [RangeError("proposition 'q' is not in the table")]
+        with pytest.raises(ValidationError):
+            transition_table(aut, P)
 
 
 def disguised(guard, rng: random.Random):
@@ -81,49 +97,49 @@ def disguised(guard, rng: random.Random):
     ])(guard)
 
 
-def random_guarded_automaton(rng: random.Random) -> tuple[OmegaAutomaton, ApTable]:
+def random_guarded_edges(rng: random.Random):
+    """(table, automaton, its edges with some guards disguised)."""
     table = ApTable(("p", "q", "r", "s")[:rng.randint(1, 4)])
     aut = random_letter_automaton(
         rng, table, rng.randint(1, 4), rng.choice(("buchi", "cobuchi", "rabin", "safety")))
     edges = tuple(tuple((disguised(g, rng) if rng.random() < 0.5 else g, t) for g, t in row)
-                  for row in aut.edges)
-    return OmegaAutomaton(aut.n_states, aut.initial, edges, aut.acceptance), table
+                  for row in minterm_edges(aut))
+    return table, aut, edges
 
 
 class TestTransitionTable:
-    """Guards are evaluated once each, as letter sets; the reference
-    evaluates every guard on every letter."""
+    """The constructor evaluates guards once each, as letter sets; the
+    reference evaluates every guard on every letter.  Over a larger table,
+    ``transition_table`` projects each letter; the reference reads each
+    letter by proposition name."""
 
     def test_matches_per_letter_evaluation(self):
         rng = random.Random(99)
         for _ in range(300):
-            aut, table = random_guarded_automaton(rng)
-            assert transition_table(aut, table) == letter_table(aut, table)
+            table, aut, edges = random_guarded_edges(rng)
+            built = OmegaAutomaton.from_edges(table, aut.initial, edges, aut.acceptance)
+            assert built.targets.tolist() == guard_table(edges, table)
+            assert transition_table(built, table) is built.targets
+            wider = ApTable(("x",) + table.names[::-1] + ("y",))
+            assert transition_table(built, wider).tolist() == letter_table(built, wider)
 
     def test_issues_match_per_letter_evaluation(self):
         rng = random.Random(98)
         for _ in range(300):
-            aut, table = random_guarded_automaton(rng)
-            rows = [list(row) for row in aut.edges]
+            table, aut, edges = random_guarded_edges(rng)
+            rows = [list(row) for row in edges]
             for row in rows:
                 if rng.random() < 0.5 and row:
                     del row[rng.randrange(len(row))]            # letters go missing
                 if rng.random() < 0.5:
                     row.append((Var(rng.choice(table.names)), 0))  # letters overlap
-            broken = OmegaAutomaton(
-                aut.n_states, aut.initial, tuple(map(tuple, rows)), aut.acceptance)
-            expected = letter_issues(broken, table)
-            if expected:
-                with pytest.raises(ValidationError) as raised:
-                    transition_table(broken, table)
-                assert raised.value.issues == expected
-            else:
-                assert validate(broken, table) == []
+            expected = guard_issues(rows, table)
+            assert issues_of(table, aut.initial, rows, aut.acceptance) == expected
 
     def test_unknown_name_raises_key_error(self):
-        aut = OmegaAutomaton(1, 0, (((Var("z"), 0), (Not(Var("z")), 0)),), Safety())
         with pytest.raises(KeyError, match="unknown proposition: 'z'"):
-            transition_table(aut, PQ)
+            OmegaAutomaton.from_edges(
+                PQ, 0, (((Var("z"), 0), (Not(Var("z")), 0)),), Safety())
 
     def test_twenty_proposition_sets_are_fast(self):
         proposition_sets.cache_clear()

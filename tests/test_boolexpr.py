@@ -10,10 +10,13 @@ from rabinsynth.boolexpr import (
     Not,
     Or,
     Var,
-    evaluate,
     format_expr,
+    free_names,
+    letter_set,
 )
 from rabinsynth.ltl import _Parser, _tokenize  # boolean grammar shared with patterns
+
+from helpers import evaluate
 
 NAMES = ("a", "b", "c")
 
@@ -77,6 +80,22 @@ class TestEvaluate:
         assert evaluate(Implies(b, a), only_a, table)
         assert not evaluate(Iff(a, b), only_a, table)
         assert evaluate(Or(b, Lit(True)), 0, table)
+
+
+@given(exprs())
+def test_letter_set_matches_evaluate(expr):
+    table = ApTable(NAMES)
+    letters = letter_set(expr, table)
+    assert [letters >> letter & 1 == 1 for letter in table.letters()] == [
+        evaluate(expr, letter, table) for letter in table.letters()]
+
+
+@pytest.mark.parametrize("op", [And, Or])
+def test_free_names_walks_a_long_chain(op):
+    chain = Var("a")
+    for k in range(1600):
+        chain = op(chain, Not(Var("bc"[k % 2])))
+    assert sorted(set(free_names(chain))) == ["a", "b", "c"]
 
 
 @given(exprs())

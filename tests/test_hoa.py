@@ -10,7 +10,6 @@ from rabinsynth.automata import (
     Parity,
     Safety,
     ValidationError,
-    transition_table,
 )
 from rabinsynth.boolexpr import ApTable, Not, Var
 from rabinsynth.hoa import (
@@ -23,7 +22,7 @@ from rabinsynth.hoa import (
 )
 from rabinsynth.rand import random_letter_automaton
 
-from helpers import letter_table
+from helpers import letter_table, same_automaton
 
 MINIMAL_BUCHI = """\
 HOA: v1
@@ -111,6 +110,24 @@ class TestParse:
             parse_hoa(text)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("States: 1", "States: \u00b2", 2),
+        ("Start: 0", "Start: \u00b2", 3),
+        ('AP: 1 "p"', 'AP: \u00b2 "p"', 4),
+        ("[t] 0", "[\u00b2] 0", 9),
+    ], ids=["states", "start", "ap", "guard"])
+    def test_digits_int_cannot_read_are_refused_at_their_line(self, old, new, line):
+        with pytest.raises(HoaError) as err:
+            parse_hoa(MINIMAL_BUCHI.replace(old, new))
+        assert err.value.line == line
+
+    def test_huge_parity_colour_count_is_refused_at_once(self):
+        text = MINIMAL_BUCHI.replace("acc-name: Buchi", "acc-name: parity max even 3000000000")
+        text = text.replace("Acceptance: 1 Inf(0)", "Acceptance: 3000000000 Inf(0)")
+        with pytest.raises(HoaError, match="does not match") as err:
+            parse_hoa(text)
+        assert err.value.line == 6
+
     def test_rabin_sets_orientation(self):
         text = """\
 HOA: v1
@@ -175,14 +192,28 @@ class TestGuardDepth:
         guard = f" {op} ".join(literals)
         aut, table = parse_hoa(MINIMAL_BUCHI.replace("[t] 0", f"[{guard}] 0"))
         # (the reference evaluator in helpers recurses along the chain)
-        assert transition_table(aut, table) == [[0, 0]]
+        assert aut.targets.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("closing", [True, False], ids=["balanced", "unbalanced"])
+    def test_deep_acceptance_formula_is_refused(self, closing):
+        formula = "(" * 3000 + "Inf(0)" + ")" * 3000 * closing
+        text = MINIMAL_BUCHI.replace("Acceptance: 1 Inf(0)", f"Acceptance: 1 {formula}")
+        with pytest.raises(HoaError, match="nested deeper") as err:
+            parse_hoa(text)
+        assert err.value.line == 6
+
+    def test_acceptance_nesting_up_to_the_bound_parses(self):
+        formula = "(" * MAX_GUARD_DEPTH + "Inf(0)" + ")" * MAX_GUARD_DEPTH
+        aut, _ = parse_hoa(
+            MINIMAL_BUCHI.replace("Acceptance: 1 Inf(0)", f"Acceptance: 1 {formula}"))
+        assert aut.acceptance == Buchi(frozenset({0}))
 
     def test_long_written_guard_reads_back(self):
         table = ApTable(tuple(f"p{k}" for k in range(11)))
         row = [0] * (table.n_letters - 1) + [1]
         text = emit_letter_table([row, row], 0, Safety(), table)
         aut, parsed_table = parse_hoa(text)
-        assert transition_table(aut, parsed_table) == [row, row]
+        assert aut.targets.tolist() == [row, row]
         assert emit_hoa(aut, parsed_table) == text
 
 
@@ -212,7 +243,7 @@ class TestRoundTrip:
 
     def test_random_automaton_is_its_document(self):
         for aut in self.sample_automata():
-            assert parse_hoa(emit_hoa(aut, self.TABLE))[0] == aut
+            assert same_automaton(parse_hoa(emit_hoa(aut, self.TABLE))[0], aut)
 
     def test_round_trip_parity(self):
         rng = random.Random(5)
@@ -241,9 +272,8 @@ class TestRoundTrip:
         ((Var("p"), 0),),  # no edge for !p
     ], ids=["nondeterministic", "partial"])
     def test_invalid_automaton_is_refused(self, edges):
-        aut = OmegaAutomaton(1, 0, (edges,), Buchi(frozenset({0})))
         with pytest.raises(ValidationError):
-            emit_hoa(aut, self.TABLE)
+            OmegaAutomaton.from_edges(self.TABLE, 0, (edges,), Buchi(frozenset({0})))
 
     def test_emitted_guard_grammar(self):
         for aut in self.sample_automata():

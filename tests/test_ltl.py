@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabinsynth.automata import Buchi, CoBuchi, Parity, Safety, eval_lasso, validate
-from rabinsynth.boolexpr import And, ApTable, Implies, Not, Or, Var
+from rabinsynth.boolexpr import MAX_GUARD_DEPTH, And, ApTable, Iff, Implies, Not, Or, Var
 from rabinsynth.ltl import (
     Always,
     LtlError,
@@ -82,6 +82,44 @@ class TestParse:
         [pattern] = parse_ltl("p -> q -> p")
         assert pattern == StateInit(
             Implies(Var("p"), Implies(Var("q"), Var("p"))))
+
+
+class TestNestingDepth:
+    """Nesting deeper than ``MAX_GUARD_DEPTH`` raises :class:`LtlError`;
+    flat ``&`` and ``|`` chains parse at any length."""
+
+    @pytest.mark.parametrize("text", [
+        "!" * 3000 + "p",
+        "(" * 3000 + "p" + ")" * 3000,
+        "G " + "(" * 3000 + "p" + ")" * 3000,
+        "G F " + "!" * 3000 + "p",
+        " -> ".join(["p"] * 3000),
+        " <-> ".join(["p"] * 3000),
+        "G (" + " -> ".join(["p"] * 3000) + ")",
+        "G (p -> q " + "<-> q " * 3000 + ")",
+    ], ids=["not", "parentheses", "invariant", "recurrence",
+            "implication", "equivalence", "invariant-implication", "invariant-equivalence"])
+    def test_deep_formula_is_refused(self, text):
+        with pytest.raises(LtlError, match="nested deeper"):
+            parse_ltl(text)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        depth = MAX_GUARD_DEPTH
+        [pattern] = parse_ltl("!" * depth + "p")
+        assert letter_table(compile_pattern(pattern, PQ), PQ) == letter_table(
+            compile_pattern(StateInit(Var("p")), PQ), PQ)
+        [pattern] = parse_ltl(" <-> ".join(["p"] * (depth + 1)))
+        assert isinstance(pattern.condition, Iff)
+        with pytest.raises(LtlError, match="nested deeper"):
+            parse_ltl("(" + "!" * depth + "p)")
+
+    @pytest.mark.parametrize("op", ["|", "&"])
+    def test_flat_chain_of_any_length_parses(self, op):
+        [pattern] = parse_ltl("G (" + f" {op} ".join(["p", "!q"] * 800) + ")")
+        aut = compile_pattern(pattern, PQ)
+        assert letter_table(aut, PQ) == letter_table(
+            compile_pattern(Always(Or(Var("p"), Not(Var("q"))) if op == "|"
+                                   else And(Var("p"), Not(Var("q")))), PQ), PQ)
 
 
 def patterns_strategy():
@@ -182,27 +220,27 @@ class TestNormalize:
     def test_rabin_splits_into_both_kinds(self):
         rng = random.Random(3)
         aut = random_letter_automaton(rng, PQ, 3, "rabin")
-        parts = normalize(aut, PQ)
+        parts = normalize(aut)
         assert [type(c.acceptance) for c in parts] == [CoBuchi, Buchi]
 
     def test_buchi_passes_through(self):
         rng = random.Random(4)
         aut = random_letter_automaton(rng, PQ, 3, "buchi")
-        [conjunct] = normalize(aut, PQ)
+        [conjunct] = normalize(aut)
         assert isinstance(conjunct.acceptance, Buchi)
         assert conjunct is aut
 
     def test_safety_accepting_set_excludes_sink(self):
         aut = compile_pattern(Always(Var("p")), PQ)
         safety = as_safety(aut)
-        [conjunct] = normalize(safety, PQ)
+        [conjunct] = normalize(safety)
         assert conjunct.acceptance == Buchi(frozenset({0}))
 
     def test_safety_language_is_sink_avoidance(self):
         rng = random.Random(8)
         for _ in range(40):
             aut = random_letter_automaton(rng, PQ, 3, "safety")
-            [conjunct] = normalize(aut, PQ)
+            [conjunct] = normalize(aut)
             tt = letter_table(aut, PQ)
             sinks = frozenset(
                 s for s in range(aut.n_states)
@@ -216,7 +254,7 @@ class TestNormalize:
         for _ in range(60):
             kind = rng.choice(("buchi", "cobuchi", "rabin"))
             aut = random_letter_automaton(rng, PQ, 3, kind)
-            parts = normalize(aut, PQ)
+            parts = normalize(aut)
             for lasso in all_lassos(PQ, 1, 2):
                 whole = eval_lasso(aut, lasso, PQ)
                 split = all(eval_lasso(c, lasso, PQ) for c in parts)
@@ -228,7 +266,7 @@ class TestNormalize:
 
         parity = replace(aut, acceptance=Parity((0, 1), 2))
         with pytest.raises(UnsupportedAcceptance):
-            normalize(parity, PQ)
+            normalize(parity)
 
 
 def as_safety(aut):

@@ -47,6 +47,7 @@ from helpers import (
     reference_machine_to_dict,
     reference_machine_to_dot,
     reference_machine_to_json,
+    same_automaton,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -73,8 +74,10 @@ def two_state_hoa(name: str, acceptance) -> str:
     """A document over one proposition: state 0 stays while it holds, state 1
     absorbs."""
     p = Var(name)
-    aut = OmegaAutomaton(2, 0, (((p, 0), (Not(p), 1)), ((Lit(True), 1),)), acceptance)
-    return emit_hoa(aut, ApTable((name,)))
+    table = ApTable((name,))
+    aut = OmegaAutomaton.from_edges(
+        table, 0, (((p, 0), (Not(p), 1)), ((Lit(True), 1),)), acceptance)
+    return emit_hoa(aut, table)
 
 
 class TestNormalizeProblem:
@@ -103,11 +106,15 @@ class TestNormalizeProblem:
         rabin_b_co, rabin_b_bu = decompose_rabin(parse_hoa(rabin_b)[0])
         rabin_x_co, rabin_x_bu = decompose_rabin(parse_hoa(rabin_x)[0])
         spec = normalize_problem(problem)
-        assert spec.buchi_assumptions == (
-            ltl("G F a"), rabin_b_bu, safe(safety_b), ltl("G F b"))
-        assert spec.cobuchi_assumptions == (rabin_b_co, ltl("F G a"))
-        assert spec.buchi_guarantees == (safe(safety_y), ltl("G F y"), rabin_x_bu)
-        assert spec.cobuchi_guarantees == (ltl("F G x"), rabin_x_co, ltl("F G y"))
+
+        def same(got, expected):
+            return len(got) == len(expected) and all(map(same_automaton, got, expected))
+
+        assert same(spec.buchi_assumptions,
+                    (ltl("G F a"), rabin_b_bu, safe(safety_b), ltl("G F b")))
+        assert same(spec.cobuchi_assumptions, (rabin_b_co, ltl("F G a")))
+        assert same(spec.buchi_guarantees, (safe(safety_y), ltl("G F y"), rabin_x_bu))
+        assert same(spec.cobuchi_guarantees, (ltl("F G x"), rabin_x_co, ltl("F G y")))
 
     def test_more_than_twenty_propositions_are_refused(self):
         problem = SpecProblem(
@@ -133,6 +140,12 @@ class TestSynthesize:
         assert outcome.counterstrategy
         assert all(letter == 0 for letter in outcome.counterstrategy.values())
         assert outcome.initial_vertex in outcome.counterstrategy
+
+    def test_long_guarantee_chain_synthesizes(self):
+        # G (a | b | a | ...): 1,600 literals in one flat chain
+        chain = " | ".join(["a", "b"] * 800)
+        outcome = synthesize(SpecProblem(("a",), ("b",), (), (ConjunctSource(ltl=f"G ({chain})"),)))
+        assert isinstance(outcome, Realizable)
 
     def test_recurrence_implication_realizable(self):
         outcome = synthesize(load_problem("gf_arbiter.json"))
@@ -425,6 +438,45 @@ class TestLassoOracle:
                 spec.buchi_guarantees[0], lasso, table)
             assert lasso_oracle(spec, lasso) == (
                 assumption_rejects or guarantee_accepts)
+
+    def test_long_guard_chain_gets_a_verdict(self):
+        # "F r" with a 1,600-literal guard; the conjunct reads over ("r",),
+        # the problem over ("r", "g")
+        chain = " | ".join(["0"] * 1600)
+        text = (f'HOA: v1\nStates: 2\nStart: 0\nAP: 1 "r"\nacc-name: Buchi\n'
+                f'Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[{chain}] 1\n[!0] 0\n'
+                f'State: 1 {{0}}\n[t] 1\n--END--\n')
+        aut, own = parse_hoa(text)
+        spec = normalize_problem(SpecProblem(("r",), ("g",), (), (ConjunctSource(hoa=text),)))
+        table = spec.table()
+        r = table.letter(["r"])
+        for lasso, holds in ((Lasso((0, r | 2), (2,)), True), (Lasso((), (0, 2)), False)):
+            assert eval_lasso(aut, lasso, table) is holds
+            own_word = (tuple(a & 1 for a in word) for word in (lasso.stem, lasso.loop))
+            assert eval_lasso(aut, Lasso(*own_word), own) is holds
+            assert lasso_oracle(spec, lasso) is holds
+
+
+class TestLetterTables:
+    """Guards are evaluated when a conjunct automaton is made, and never after."""
+
+    @pytest.mark.parametrize("problem", [
+        arbiter_problem(2), load_problem("gf_arbiter_hoa.json")], ids=["arbiter2", "gf_hoa"])
+    def test_no_guard_is_evaluated_after_normalisation(self, problem, monkeypatch):
+        from rabinsynth import automata, boolexpr
+
+        spec = normalize_problem(problem)
+
+        def no_guards(*args):
+            raise AssertionError("a guard was evaluated")
+
+        monkeypatch.setattr(automata, "letter_set", no_guards)
+        monkeypatch.setattr(boolexpr, "letter_set", no_guards)
+        pa = build_product(spec)
+        assert differential_test(spec, 1, 2, max_aps=4).mismatches == 0
+        for lasso in all_lassos(spec.table(), 1, 1):
+            assert lasso_oracle(spec, lasso) == product_accepts(pa, lasso)
+        assert isinstance(synthesize(spec), Realizable)
 
 
 class TestDifferential:

@@ -8,11 +8,12 @@ from rabinsynth.automata import (
     MissingEdge,
     NondeterministicEdge,
     OmegaAutomaton,
+    RangeError,
     ValidationError,
     eval_lasso,
     validate,
 )
-from rabinsynth.boolexpr import ApTable, Var
+from rabinsynth.boolexpr import ApTable, Not, Var
 from rabinsynth.ltl import Persistence, Recurrence, compile_pattern, parse_ltl
 from rabinsynth.product import (
     ASSUMPTION_DEAD,
@@ -233,11 +234,17 @@ class TestBuildProduct:
     def test_invalid_component_raises_the_issues_of_validate(self):
         # no edge on !r & !g (letter 0), two edges on r & g (letter 3)
         table = ApTable(("r", "g"))
-        broken = OmegaAutomaton(
-            1, 0, (((Var("r"), 0), (Var("g"), 0)),), Buchi(frozenset({0})))
-        issues = validate(broken, table)
-        assert issues == [MissingEdge(0, 0), NondeterministicEdge(0, 3)]
-        spec = NormalizedSpec(("r",), ("g",), (), (), (broken,), ())
+        with pytest.raises(ValidationError) as raised:
+            OmegaAutomaton.from_edges(
+                table, 0, (((Var("r"), 0), (Var("g"), 0)),), Buchi(frozenset({0})))
+        assert raised.value.issues == [MissingEdge(0, 0), NondeterministicEdge(0, 3)]
+        # a component over a proposition outside the spec
+        foreign = OmegaAutomaton.from_edges(
+            ApTable(("r", "x")), 0, (((Var("x"), 0), (Not(Var("x")), 0)),),
+            Buchi(frozenset({0})))
+        issues = validate(foreign, table)
+        assert issues == [RangeError("proposition 'x' is not in the table")]
+        spec = NormalizedSpec(("r",), ("g",), (), (), (foreign,), ())
         with pytest.raises(ValidationError) as raised:
             build_product(spec)
         assert raised.value.issues == issues
