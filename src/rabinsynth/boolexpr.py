@@ -219,10 +219,16 @@ def _fmt(expr: BoolExpr, min_level: int) -> str:
             s = name
         case Not(arg):
             s = "!" + _fmt(arg, 4)
-        case And(l, r):
-            s = _fmt(l, 3) + " & " + _fmt(r, 4)
-        case Or(l, r):
-            s = _fmt(l, 2) + " | " + _fmt(r, 3)
+        case And() | Or():
+            # a flat chain nests to the left: walk its spine in a loop, so
+            # that its length stays out of the recursion depth
+            kind, op, level = (And, " & ", 3) if isinstance(expr, And) else (Or, " | ", 2)
+            parts, e = [], expr
+            while isinstance(e, kind):
+                parts.append(_fmt(e.right, level + 1))
+                e = e.left
+            parts.append(_fmt(e, level))
+            s = op.join(reversed(parts))
         case Implies(l, r):
             # right-associative
             s = _fmt(l, 2) + " -> " + _fmt(r, 1)

@@ -65,7 +65,10 @@ def spec_problem_from_dict(data: dict, *, base_dir: Path) -> SpecProblem:
             if kind not in ("ltl", "hoa", "hoa_file") or not isinstance(value, str):
                 raise SpecFileError(f"bad {key} entry: {entry!r}")
             if kind == "hoa_file":
-                value = str((base_dir / value).resolve())
+                try:
+                    value = str((base_dir / value).resolve())
+                except (OSError, ValueError) as exc:  # e.g. a NUL in the path
+                    raise SpecFileError(f"bad {key} path {value!r}: {exc}") from exc
             sources.append(ConjunctSource(**{kind: value}))
         return tuple(sources)
 

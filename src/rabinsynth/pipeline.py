@@ -102,9 +102,12 @@ def _conjunct_automata(
 
 def normalize_problem(problem: SpecProblem) -> NormalizedSpec:
     """Resolve all conjunct sources and sort them into the four sets."""
-    if set(problem.inputs) & set(problem.outputs):
-        raise NormalizationError("input and output propositions must be disjoint")
-    table = ApTable(tuple(problem.inputs) + tuple(problem.outputs))
+    try:
+        if set(problem.inputs) & set(problem.outputs):
+            raise NormalizationError("input and output propositions must be disjoint")
+        table = ApTable(tuple(problem.inputs) + tuple(problem.outputs))
+    except (TypeError, ValueError) as exc:
+        raise NormalizationError(f"bad proposition list: {exc}") from exc
 
     def side(role: str, sources: Iterable[ConjunctSource]) -> list[OmegaAutomaton]:
         normalised = []

@@ -51,7 +51,7 @@ class _Arena:
     """The game as integer arrays.  Player ``p`` owns the vertices in
     ``span[p]``, Environment vertices first; ``succ[p][v - span[p].start]``
     holds the move targets of its vertex ``v`` by letter, and
-    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` the same, flat.
+    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` the same, flat: ``degree[v]`` (int32) moves.
     ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the source of every edge
     into ``v`` (``pred_count[v]`` edges), by source vertex and then letter.
     """
@@ -65,11 +65,14 @@ class _Arena:
         self.colour = np.zeros(n, dtype=np.int8)
         self.colour[:n_env] = game.state_colours
         self.succ_flat = np.concatenate([table.ravel() for table in self.succ])
-        degree = np.repeat([table.shape[1] for table in self.succ], [n_env, n - n_env])
-        self.succ_ptr = np.concatenate([[0], degree.cumsum()])
-        # the stable sort keeps the (source, letter) order of succ_flat
-        self.pred_src = np.repeat(np.arange(n), degree)[
-            np.argsort(self.succ_flat, kind="stable")]
+        self.degree = np.repeat(np.int32([t.shape[1] for t in self.succ]), [n_env, n - n_env])
+        self.succ_ptr = np.concatenate([[0], self.degree.cumsum()])
+        # one in-place sort of (target, source) keys: equal keys differ only
+        # in the letter, so each target lists its sources in succ_flat order
+        self.pred_src = pred = np.repeat(np.arange(n), self.degree)
+        pred += np.multiply(self.succ_flat, n, dtype=np.int64)
+        pred.sort()
+        pred %= n
         self.pred_count = np.bincount(self.succ_flat, minlength=n)
         self.pred_ptr = np.concatenate([[0], self.pred_count.cumsum()])
 
@@ -78,20 +81,18 @@ class _Arena:
         return self.succ[player][vertices - self.span[player].start]
 
 
-def _attract(
-    arena: _Arena,
-    mask: np.ndarray,
-    targets: np.ndarray,
-    player: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertices from which ``player`` can force a visit to ``targets``.
+def _attract(arena: _Arena, mask: np.ndarray, degree: np.ndarray, targets: np.ndarray,
+             player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices from which ``player`` can force a visit to ``targets`` in the
+    subgame on ``mask``, whose vertices have the out-degrees ``degree``.
 
     Attracts in the order of a FIFO worklist seeded with ``targets``: the
     targets take positions in the given order, each later level in the order
     (position of the trigger, vertex id).  A player vertex's trigger is its
     successor of least position, an opponent vertex's its last masked one.
-    Returns the attractor mask and the player's newly attracted vertices with
-    their first move letters to a vertex of smaller position.
+    Returns the attractor mask, the player's newly attracted vertices with
+    their first move letters to a vertex of smaller position, and the
+    out-degrees in the rest of the subgame.
     """
     n = arena.n
     position = np.full(n, n, dtype=np.intp)  # n: not attracted
@@ -101,8 +102,7 @@ def _attract(
     free[targets] = False
     mine = arena.owner == player
     # edges still needed: one for the player, every masked one for the opponent
-    remaining = np.ones(n, dtype=np.intp)
-    remaining[arena.span[1 - player]] = mask[arena.succ[1 - player]].sum(axis=1)
+    remaining = np.where(mine, np.int32(1), degree)
     # edge keys (below vertices x edges, well inside int64) grow with the
     # target's position, then the pred order; negated for the player, one
     # maximum picks a player vertex's first edge in and an opponent's last
@@ -122,7 +122,8 @@ def _attract(
         sources = sources[open_]
         key = key[open_] * sign[sources]
         np.maximum.at(trigger, sources, key)
-        np.subtract.at(remaining, sources, 1)
+        # an int32 step: a cast would take ufunc.at off its fast path
+        np.subtract.at(remaining, sources, np.int32(1))
         # the completed vertices, each by the edge to its trigger, in
         # (trigger position, vertex id) order
         level = sources[(remaining[sources] <= 0) & (trigger[sources] == key)]
@@ -133,19 +134,17 @@ def _attract(
     attracted = mask & ~free
     own = np.flatnonzero(attracted & mine & (position >= len(targets)))
     ahead = position[arena.successors(own, player)] < position[own, None]
-    return attracted, own, ahead.argmax(axis=1)
+    # outside it, an opponent vertex lost one count per edge into it; a player one has none
+    return attracted, own, ahead.argmax(axis=1), np.where(mine, degree, remaining)
 
 
-def _solve(
-    arena: _Arena,
-    mask: np.ndarray,
-    region: np.ndarray,
-    strategy: np.ndarray,
-) -> None:
-    """Solve the subgame on ``mask`` in place: ``region[v]`` is set to the
-    winner of each vertex, ``strategy[p, v]`` to the move letter of each of
-    ``p``'s vertices in ``p``'s region.  ``strategy`` is -1 ("no move") on
-    the subgame on entry and on the rest of the subgame on return."""
+def _solve(arena: _Arena, mask: np.ndarray, degree: np.ndarray, region: np.ndarray,
+           strategy: np.ndarray) -> None:
+    """Solve the subgame on ``mask``, whose vertices have the out-degrees
+    ``degree``, in place: ``region[v]`` is set to the winner of each vertex,
+    ``strategy[p, v]`` to the move letter of each of ``p``'s vertices in
+    ``p``'s region.  ``strategy`` is -1 ("no move") on the subgame on entry
+    and on the rest of the subgame on return."""
     if not mask.any():
         return
     top_colour = arena.colour[mask].max()
@@ -153,9 +152,9 @@ def _solve(
     opponent = 1 - winner
     top = np.flatnonzero(mask & (arena.colour == top_colour))
 
-    attr, attr_vertices, attr_letters = _attract(arena, mask, top, winner)
+    attr, attr_vertices, attr_letters, subdegree = _attract(arena, mask, degree, top, winner)
     submask = mask & ~attr
-    _solve(arena, submask, region, strategy)
+    _solve(arena, submask, subdegree, region, strategy)
     lost = np.flatnonzero(submask & (region == opponent))
 
     if not lost.size:
@@ -168,9 +167,9 @@ def _solve(
 
     # the winner's moves in the subgame are recomputed below
     strategy[winner, submask] = -1
-    escape, escape_vertices, escape_letters = _attract(arena, mask, lost, opponent)
+    escape, escape_vertices, escape_letters, degree = _attract(arena, mask, degree, lost, opponent)
     strategy[opponent, escape_vertices] = escape_letters
-    _solve(arena, mask & ~escape, region, strategy)
+    _solve(arena, mask & ~escape, degree, region, strategy)
     region[escape] = opponent
 
 
@@ -179,7 +178,7 @@ def solve_zielonka(game: SynthesisGame) -> Solution:
     arena = _Arena(game)
     region = np.zeros(arena.n, dtype=np.int8)
     strategy = np.full((2, arena.n), -1, dtype=np.intp)
-    _solve(arena, np.ones(arena.n, dtype=bool), region, strategy)
+    _solve(arena, np.ones(arena.n, dtype=bool), arena.degree, region, strategy)
 
     def moves(player: int) -> dict[int, int]:
         vertices = np.flatnonzero(strategy[player] >= 0)

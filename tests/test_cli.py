@@ -4,9 +4,11 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from rabinsynth import pipeline
 from rabinsynth.automata import Lasso
-from rabinsynth.cli import load_spec_problem, run
+from rabinsynth.cli import SpecFileError, load_spec_problem, run, spec_problem_from_dict
 from rabinsynth.hoa import parse_hoa
 from rabinsynth.mealy import machine_from_json
 from rabinsynth.pipeline import normalize_problem
@@ -180,6 +182,11 @@ class TestSpecLoading:
         [assumption] = problem.assumptions
         assert assumption.hoa_file is not None
         assert Path(assumption.hoa_file).is_file()
+
+    def test_nul_in_hoa_file_path_is_a_spec_file_error(self):
+        doc = {"inputs": [], "outputs": [], "guarantees": [{"hoa_file": "a\0b"}]}
+        with pytest.raises(SpecFileError, match="path"):
+            spec_problem_from_dict(doc, base_dir=CORPUS)
 
     def test_console_entry_point(self):
         result = subprocess.run(

@@ -1,5 +1,6 @@
-"""Mutation fuzzing of the text front ends: whatever text ``parse_hoa`` and
-``parse_ltl`` are given, only their documented errors may escape.
+"""Mutation fuzzing of the front ends: whatever text ``parse_hoa`` and
+``parse_ltl`` are given, and whatever JSON documents the spec and machine
+loaders are given, only their documented errors may escape.
 
 Seeds are well-formed inputs: documents written by ``emit_hoa`` for random
 automata of every acceptance kind, and pattern texts written by
@@ -9,19 +10,33 @@ nesting one formula of the input (an acceptance formula, a guard, a
 proposition) in parentheses or behind ``!`` up to thousands of levels deep,
 replacing one character, replacing a number (by a huge one or by digits
 ``int`` does not read), or duplicating, dropping or swapping lines.
+
+Document seeds are the corpus specs, the 2-client arbiter with an inline
+automaton, and the machines synthesized for the realizable corpus specs.
+Each example replaces, deletes, duplicates, inserts or wraps a few values
+anywhere in one seed's JSON tree.
 """
 
+import copy
+import json
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from rabinsynth.automata import Parity, ValidationError
 from rabinsynth.boolexpr import ApTable
+from rabinsynth.cli import SpecFileError, load_spec_problem, spec_problem_from_dict
 from rabinsynth.hoa import HoaError, emit_hoa, parse_hoa
 from rabinsynth.ltl import LtlError, format_pattern, parse_ltl
+from rabinsynth.mealy import machine_from_dict, machine_to_dict
+from rabinsynth.pipeline import NormalizationError, Realizable, normalize_problem, synthesize
 from rabinsynth.rand import arbiter_problem, random_letter_automaton, random_pattern
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_SPECS = sorted(p for p in CORPUS.glob("*.json") if not p.name.endswith(".expected.json"))
 
 
 def hoa_seeds() -> list[str]:
@@ -107,4 +122,89 @@ def test_parse_ltl_raises_only_its_errors(text):
     try:
         parse_ltl(text)
     except LtlError:
+        pass
+
+
+def spec_seeds() -> list[dict]:
+    seeds = [json.loads(path.read_text(encoding="utf-8")) for path in CORPUS_SPECS]
+    problem = arbiter_problem(2)
+    table = ApTable(problem.inputs + problem.outputs)
+    aut = random_letter_automaton(random.Random(23), table, 2, "buchi")
+    seeds.append({"inputs": list(problem.inputs), "outputs": list(problem.outputs),
+                  "assumptions": [{"ltl": c.ltl} for c in problem.assumptions],
+                  "guarantees": [{"ltl": c.ltl} for c in problem.guarantees]
+                  + [{"hoa": emit_hoa(aut, table)}]})
+    return seeds
+
+
+def machine_seeds() -> list[dict]:
+    outcomes = (synthesize(load_spec_problem(path)) for path in CORPUS_SPECS)
+    return [machine_to_dict(o.machine) for o in outcomes if isinstance(o, Realizable)]
+
+
+#: values put into documents; short name lists only, since every guard pass
+#: of a table walks all 2 ** size letters
+VALUES = (None, True, False, 0, 1, -1, 7, 2 ** 70, 1.5, "", "r", "g", "x", "é", "a\x00b",
+          "G F r", "gf_r.hoa", "missing.hoa", "..", [], {}, ["x"], [["x"]], [1], ["r", "r"],
+          [f"p{i}" for i in range(22)], {"ltl": "G r"}, {"hoa": "HOA: v1"},
+          {"hoa_file": "gf_r.hoa"}, {"ltl": "G r", "hoa": "HOA: v1"},
+          {"from": 0, "on": [], "to": 0, "out": []})
+KEYS = ("inputs", "outputs", "assumptions", "guarantees", "ltl", "hoa", "hoa_file",
+        "states", "initial", "transitions", "from", "on", "to", "out", "extra")
+
+
+def json_paths(node, path=()):
+    """The key path of every value in a JSON tree, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from json_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from json_paths(child, path + (i,))
+
+
+@st.composite
+def mutated_document(draw, seeds: list[dict]):
+    doc = {"root": copy.deepcopy(draw(st.sampled_from(seeds)))}
+    for _ in range(draw(st.integers(1, 3))):
+        path = ("root",) + draw(st.sampled_from(list(json_paths(doc["root"]))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        value = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        op = draw(st.sampled_from(["replace", "delete", "duplicate", "insert", "wrap"]))
+        if op == "replace":
+            parent[path[-1]] = value
+        elif op == "delete" and len(path) > 1:
+            del parent[path[-1]]
+        elif op == "duplicate" and isinstance(node, list) and node:
+            node.insert(draw(st.integers(0, len(node))),
+                        copy.deepcopy(draw(st.sampled_from(node))))
+        elif op == "insert" and isinstance(node, list):
+            node.insert(draw(st.integers(0, len(node))), value)
+        elif op == "insert" and isinstance(node, dict):
+            node[draw(st.sampled_from(KEYS))] = value
+        elif op == "wrap":
+            parent[path[-1]] = draw(st.sampled_from(
+                [[node], {draw(st.sampled_from(KEYS)): node}]))
+    return doc["root"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_document(spec_seeds()))
+def test_spec_documents_raise_only_their_errors(doc):
+    try:
+        normalize_problem(spec_problem_from_dict(doc, base_dir=CORPUS))
+    except (SpecFileError, NormalizationError):
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_document(machine_seeds()))
+def test_machine_documents_raise_only_their_errors(doc):
+    try:
+        machine_from_dict(doc)
+    except ValueError:
         pass

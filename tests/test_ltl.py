@@ -121,6 +121,13 @@ class TestNestingDepth:
             compile_pattern(Always(Or(Var("p"), Not(Var("q"))) if op == "|"
                                    else And(Var("p"), Not(Var("q")))), PQ), PQ)
 
+    @pytest.mark.parametrize("op", ["|", "&"])
+    def test_flat_chain_of_any_length_formats(self, op):
+        for text in ("G (" + f" {op} ".join(["p", "!q"] * 800) + ")",
+                     "G (" + f" {op} ".join(["a"] * 1600) + ")"):
+            [pattern] = parse_ltl(text)
+            assert format_pattern(pattern) == text
+
 
 def patterns_strategy():
     bools = st.builds(

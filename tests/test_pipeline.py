@@ -24,6 +24,7 @@ from rabinsynth.pipeline import (
     CapacityExceeded,
     ConjunctSource,
     IncompatibleAlphabets,
+    NormalizationError,
     Realizable,
     SpecProblem,
     Unrealizable,
@@ -119,7 +120,7 @@ class TestNormalizeProblem:
     def test_more_than_twenty_propositions_are_refused(self):
         problem = SpecProblem(
             tuple(f"i{k}" for k in range(21)), ("o",), (), (ConjunctSource(ltl="G o"),))
-        with pytest.raises(ValueError, match="limit of 20"):
+        with pytest.raises(NormalizationError, match="limit of 20"):
             normalize_problem(problem)
 
 
@@ -247,6 +248,14 @@ class TestSynthesize:
             ("r",), ("g",), (), (ConjunctSource(ltl="G unknown_ap"),))
         with pytest.raises(NormalizationError, match="unknown_ap"):
             synthesize(problem)
+
+    @pytest.mark.parametrize("inputs", [
+        (["x"],), (1,), tuple(f"p{i}" for i in range(22)), ("r", "r")],
+        ids=["unhashable", "not-a-name", "too-many", "duplicate"])
+    def test_bad_proposition_list_is_a_normalization_error(self, inputs):
+        problem = SpecProblem(inputs, ("g",), (), (ConjunctSource(ltl="GF g"),))
+        with pytest.raises(NormalizationError, match="proposition"):
+            normalize_problem(problem)
 
     def test_empty_output_alphabet(self):
         # guarantees over inputs only still synthesize (one output letter)

@@ -10,9 +10,11 @@ from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
 from rabinsynth.pipeline import normalize_problem
 from rabinsynth.product import build_product
 from rabinsynth.rand import arbiter_problem, random_game
+from rabinsynth import solvers
 from rabinsynth.solvers import (
     ShapeError,
     Solution,
+    _Arena,
     certify_strategy,
     solve_progress_measures,
     solve_zielonka,
@@ -94,11 +96,58 @@ class TestReferenceIdentity:
     def test_corpus_and_arbiter_games(self):
         problems = [load_spec_problem(path) for path in sorted(CORPUS.glob("*.json"))
                     if not path.name.endswith(".expected.json")]
-        problems += [arbiter_problem(2), arbiter_problem(2, unrealizable=True)]
+        problems += [arbiter_problem(n, unrealizable=u) for n in (2, 3) for u in (False, True)]
         for problem in problems:
-            spec = normalize_problem(problem)
-            game = build_game(build_product(spec), spec.inputs, spec.outputs)
+            game = game_of(problem)
             assert solve_zielonka(game) == reference_zielonka(game), problem
+
+
+def game_of(problem) -> SynthesisGame:
+    spec = normalize_problem(problem)
+    return build_game(build_product(spec), spec.inputs, spec.outputs)
+
+
+def random_games(count: int) -> list[SynthesisGame]:
+    """Random games, most of them with System vertices that reach one
+    target by several letters."""
+    rng = random.Random(20_261_019)
+    games = [random_game(rng, max_states=(3, 20, 150)[i % 3]) for i in range(count)]
+    moves = [np.sort(game.successor_tables()[1], axis=1) for game in games]
+    assert sum(bool((m[:, 1:] == m[:, :-1]).any()) for m in moves) > count // 2
+    return games
+
+
+def arbiter_games() -> list[SynthesisGame]:
+    return [game_of(arbiter_problem(n, unrealizable=u)) for n in (2, 3) for u in (False, True)]
+
+
+class TestArena:
+    def test_predecessors_follow_the_stable_order(self):
+        for game in random_games(60) + arbiter_games():
+            arena = _Arena(game)
+            sources = np.repeat(np.arange(arena.n), arena.degree)
+            stable = sources[np.argsort(arena.succ_flat, kind="stable")]
+            assert np.array_equal(arena.pred_src, stable)
+
+    def test_every_subgame_gets_its_out_degrees(self, monkeypatch):
+        """Each ``_solve`` call receives, on its mask, the number of edges
+        of each vertex that stay inside the mask."""
+        solve = solvers._solve
+        calls = 0
+
+        def checked(arena, mask, degree, region, strategy):
+            nonlocal calls
+            calls += 1
+            inside = np.add.reduceat(mask[arena.succ_flat], arena.succ_ptr[:-1])
+            assert np.array_equal(degree[mask], inside[mask])
+            assert degree.dtype == np.int32
+            solve(arena, mask, degree, region, strategy)
+
+        monkeypatch.setattr(solvers, "_solve", checked)
+        games = random_games(150)
+        for game in games + arbiter_games():
+            solve_zielonka(game)
+        assert calls > 3 * len(games)
 
 
 class TestCertify:
