@@ -2,8 +2,8 @@
 
 States are dense 0-based indices.  An automaton is stored as a letter table
 over its own proposition table: exactly one successor per state and letter.
-Guard-labelled edges are read once, by :meth:`OmegaAutomaton.from_edges`,
-which evaluates every guard as a letter set and refuses a nondeterministic or
+Edges labelled with letter sets are read once, by
+:meth:`OmegaAutomaton.from_edges`, which refuses a nondeterministic or
 partial automaton; read over a larger table, the stored table is projected.
 Words are handled in ultimately-periodic (lasso) form, which suffices to
 decide every acceptance condition implemented here.  Those are exactly the
@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .boolexpr import ApTable, BoolExpr, letter_set, letters_in
+from .boolexpr import ApTable, letters_in
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,16 @@ class OmegaAutomaton:
         cls,
         table: ApTable,
         initial: int,
-        edges: Sequence[Sequence[tuple[BoolExpr, int]]],
+        edges: Sequence[Sequence[tuple[int, int]]],
         acceptance: Acceptance,
     ) -> OmegaAutomaton:
-        """The automaton whose state ``s`` has the ``(guard, target)`` pairs
-        ``edges[s]``; the guards of one state must partition the letters of
-        ``table``.  Every guard is evaluated once, as the set of letters it
-        holds on; the letters no guard covers and the letters two guards cover
-        follow by set algebra.  Raises :class:`ValidationError` with every
-        range issue, or else with every determinism and totality issue."""
+        """The automaton whose state ``s`` has the ``(letters, target)`` pairs
+        ``edges[s]``, each ``letters`` a letter set over ``table`` (see
+        :func:`~rabinsynth.boolexpr.proposition_sets`); the sets of one state
+        must partition the letters.  The letters no set covers and the
+        letters two sets cover follow by set algebra.  Raises
+        :class:`ValidationError` with every range issue, or else with every
+        determinism and totality issue."""
         issues: list[ValidationIssue] = []
         n = len(edges)
         if n == 0:
@@ -128,8 +129,7 @@ class OmegaAutomaton:
         for s, state_edges in enumerate(edges):
             covered = overlap = 0
             row = [-1] * table.n_letters
-            for guard, target in state_edges:
-                letters = letter_set(guard, table)
+            for letters, target in state_edges:
                 overlap |= covered & letters
                 covered |= letters
                 for letter in letters_in(letters):

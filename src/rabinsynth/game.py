@@ -70,28 +70,6 @@ class SynthesisGame:
     def n_vertices(self) -> int:
         return self.n_env_vertices + self.n_system_vertices
 
-    def owner(self, v: int) -> int:
-        return ENVIRONMENT if v < self.n_states else SYSTEM
-
-    def colour(self, v: int) -> int:
-        return self.state_colours[v] if v < self.n_states else 0
-
-    def env_move(self, v: int, input_letter: int) -> int:
-        """Successor of an Environment vertex under an input choice."""
-        return self.n_states + (v << self.input_bits) + input_letter
-
-    def system_move(self, v: int, output_letter: int) -> int:
-        """Successor of a System vertex under an output choice."""
-        state, input_letter = divmod(v - self.n_states, self.n_inputs)
-        return self.transitions.item(
-            state, input_letter | output_letter << self.input_bits)
-
-    def moves(self, v: int) -> list[tuple[int, int]]:
-        """All ``(letter, target)`` moves of a vertex, in letter order."""
-        if v < self.n_states:
-            return [(x, self.env_move(v, x)) for x in range(self.n_inputs)]
-        return [(y, self.system_move(v, y)) for y in range(self.n_outputs)]
-
     def successor_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Move targets indexed by move letter, rows in vertex order: one table
         for the Environment vertices, one for the System vertices."""

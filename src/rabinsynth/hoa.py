@@ -24,6 +24,7 @@ Recognised acceptance names and their canonical ``Acceptance:`` lines:
 from __future__ import annotations
 
 import re
+from operator import and_, or_
 
 import numpy as np
 
@@ -36,16 +37,7 @@ from .automata import (
     Safety,
     transition_table,
 )
-from .boolexpr import (
-    MAX_GUARD_DEPTH,
-    And,
-    ApTable,
-    BoolExpr,
-    Lit,
-    Not,
-    Or,
-    Var,
-)
+from .boolexpr import MAX_GUARD_DEPTH, ApTable, proposition_sets
 
 
 class HoaError(Exception):
@@ -60,6 +52,60 @@ class UnsupportedFeature(HoaError):
     def __init__(self, name: str, line: int | None = None):
         self.feature = name
         super().__init__(f"unsupported feature: {name}", line)
+
+
+# ---------------------------------------------------------------------------
+# formulas: guards and acceptance conditions share one grammar
+
+
+def _parse_formula(tokens: list[str], atom, both, either, negate, fail):
+    """Read ``tokens`` as a disjunction (``|``) of conjunctions (``&``) of
+    operands, with ``!`` and parentheses nested at most
+    :data:`MAX_GUARD_DEPTH` deep.  ``atom(token)`` reads any other operand
+    token, ``both`` and ``either`` combine two operands of ``&`` and ``|``,
+    ``negate`` reads ``!``, and ``fail(why)`` raises."""
+    pos, end = 0, len(tokens)
+
+    def operand(depth: int):
+        nonlocal pos
+        if pos == end:
+            fail("unexpected end")
+        tok = tokens[pos]
+        pos += 1
+        if tok != "!" and tok != "(":
+            return atom(tok)
+        if depth == MAX_GUARD_DEPTH:
+            fail(f"nested deeper than {MAX_GUARD_DEPTH} levels")
+        if tok == "!":
+            return negate(operand(depth + 1))
+        value = disjunction(depth + 1)
+        if pos == end:
+            fail("unexpected end")
+        if tokens[pos] != ")":
+            fail("expected ')'")
+        pos += 1
+        return value
+
+    def conjunction(depth: int):
+        nonlocal pos
+        value = operand(depth)
+        while pos < end and tokens[pos] == "&":
+            pos += 1
+            value = both(value, operand(depth))
+        return value
+
+    def disjunction(depth: int):
+        nonlocal pos
+        value = conjunction(depth)
+        while pos < end and tokens[pos] == "|":
+            pos += 1
+            value = either(value, conjunction(depth))
+        return value
+
+    value = disjunction(0)
+    if pos != end:
+        fail(f"trailing tokens near {tokens[pos]!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -82,77 +128,31 @@ _CANONICAL_ACCEPTANCE = {
     "safety": (0, "t"),
 }
 
-_ACC_TOKEN = re.compile(r"Fin|Inf|\d+|[()&|tf]")
+_ACC_TOKEN = re.compile(r"(?:Fin|Inf)\s*\(\s*\d+\s*\)|\d+|\S")
+_ACC_ATOM = re.compile(r"(Fin|Inf)\s*\(\s*(\d+)\s*\)")
 
 
 def _parse_acc_formula(text: str, line: int):
-    """Parse an acceptance formula into a normalised nested-tuple form."""
-    tokens = _ACC_TOKEN.findall(text)
-    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
-        raise HoaError(f"cannot tokenise acceptance formula {text!r}", line)
-    pos = depth = 0
+    """Parse an acceptance formula into a normalised nested-tuple form:
+    ``("fin", k)``, ``("inf", k)``, ``("t",)``, ``("f",)``, and ``("and",
+    ...)``/``("or", ...)`` with nested chains of the same operator flattened."""
+    def fail(why: str):
+        raise HoaError(f"malformed acceptance formula {text!r}: {why}", line)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens) or (expected is not None and tokens[pos] != expected):
-            raise HoaError(f"malformed acceptance formula {text!r}", line)
-        pos += 1
-        return tokens[pos - 1]
-
-    def atom():
-        nonlocal depth
-        tok = take()
-        if tok in ("Fin", "Inf"):
-            take("(")
-            k = take()
-            if not k.isdecimal():
-                raise HoaError(f"malformed acceptance formula {text!r}", line)
-            take(")")
-            return (tok.lower(), int(k))
+    def atom(tok: str):
+        m = _ACC_ATOM.fullmatch(tok)
+        if m:
+            return (m[1].lower(), int(m[2]))
         if tok in ("t", "f"):
             return (tok,)
-        if tok == "(":
-            depth += 1
-            if depth > MAX_GUARD_DEPTH:
-                raise HoaError(f"acceptance formula nested deeper than {MAX_GUARD_DEPTH} "
-                               "levels", line)
-            inner = disj()
-            take(")")
-            depth -= 1
-            return inner
-        raise HoaError(f"malformed acceptance formula {text!r}", line)
+        fail(f"unexpected token {tok!r}")
 
-    def conj():
-        parts = [atom()]
-        while peek() == "&":
-            take()
-            parts.append(atom())
-        if len(parts) == 1:
-            return parts[0]
-        flat = []
-        for p in parts:
-            flat.extend(p[1:] if p[0] == "and" else [p])
-        return ("and", *flat)
+    def flat(op: str):
+        return lambda x, y: (op, *(x[1:] if x[0] == op else (x,)),
+                             *(y[1:] if y[0] == op else (y,)))
 
-    def disj():
-        parts = [conj()]
-        while peek() == "|":
-            take()
-            parts.append(conj())
-        if len(parts) == 1:
-            return parts[0]
-        flat = []
-        for p in parts:
-            flat.extend(p[1:] if p[0] == "or" else [p])
-        return ("or", *flat)
-
-    result = disj()
-    if pos != len(tokens):
-        raise HoaError(f"malformed acceptance formula {text!r}", line)
-    return result
+    return _parse_formula(_ACC_TOKEN.findall(text), atom, flat("and"), flat("or"),
+                          lambda _: fail("unexpected token '!'"), fail)
 
 
 def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) -> None:
@@ -177,74 +177,33 @@ def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) 
 # guards over AP indices
 
 
-class _GuardParser:
-    """Recursive-descent parser for ``t f ! & |`` guards over AP indices."""
+_GUARD_TOKEN = re.compile(r"\d+|\S")
 
-    def __init__(self, text: str, table: ApTable, line: int):
-        self.tokens = re.findall(r"\d+|[tf!&|()]|\S", text)
-        self.pos = 0
-        self.depth = 0
-        self.table = table
-        self.line = line
 
-    def fail(self, why: str):
-        raise HoaError(f"bad guard: {why}", self.line)
+def _guard_reader(table: ApTable):
+    """``read(text, line)``: the letters of ``table`` a guard holds on, as a
+    letter set (see :func:`~rabinsynth.boolexpr.proposition_sets`)."""
+    full = (1 << table.n_letters) - 1
+    atoms = {"t": full, "f": 0, **{str(i): s for i, s in enumerate(proposition_sets(table.size))}}
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def read(text: str, line: int) -> int:
+        def fail(why: str):
+            raise HoaError(f"bad guard: {why}", line)
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of guard")
-        self.pos += 1
-        return tok
+        def atom(tok: str) -> int:
+            letters = atoms.get(tok)
+            if letters is None:
+                if not tok.isdecimal():
+                    fail(f"unexpected token {tok!r}")
+                index = int(tok)
+                if index >= table.size:
+                    fail(f"AP index {index} out of range")
+                letters = atoms[str(index)]
+            return letters
 
-    def parse(self) -> BoolExpr:
-        expr = self.disj()
-        if self.pos != len(self.tokens):
-            self.fail(f"trailing tokens near {self.peek()!r}")
-        return expr
+        return _parse_formula(_GUARD_TOKEN.findall(text), atom, and_, or_, full.__xor__, fail)
 
-    def disj(self) -> BoolExpr:
-        expr = self.conj()
-        while self.peek() == "|":
-            self.take()
-            expr = Or(expr, self.conj())
-        return expr
-
-    def conj(self) -> BoolExpr:
-        expr = self.unary()
-        while self.peek() == "&":
-            self.take()
-            expr = And(expr, self.unary())
-        return expr
-
-    def unary(self) -> BoolExpr:
-        tok = self.take()
-        if tok == "!" or tok == "(":
-            self.depth += 1
-            if self.depth > MAX_GUARD_DEPTH:
-                self.fail(f"nested deeper than {MAX_GUARD_DEPTH} levels")
-            if tok == "!":
-                expr: BoolExpr = Not(self.unary())
-            else:
-                expr = self.disj()
-                if self.take() != ")":
-                    self.fail("expected ')'")
-            self.depth -= 1
-            return expr
-        if tok == "t":
-            return Lit(True)
-        if tok == "f":
-            return Lit(False)
-        if tok.isdecimal():
-            index = int(tok)
-            if index >= self.table.size:
-                self.fail(f"AP index {index} out of range")
-            return Var(self.table.names[index])
-        self.fail(f"unexpected token {tok!r}")
-        raise AssertionError  # unreachable
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +358,8 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
 
     # body
     memberships: dict[int, frozenset[int]] = {}
-    edges: dict[int, list[tuple[BoolExpr, int]]] = {}
+    edges: dict[int, list[tuple[int, int]]] = {}
+    read_guard = _guard_reader(table)
     current: int | None = None
     end_seen = False
     for i in range(body_start, len(lines)):
@@ -437,8 +397,7 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
             target_text = line[close + 1:].strip()
             if not re.fullmatch(r"\d+", target_text):
                 raise HoaError(f"bad edge target {target_text!r}", line_no)
-            guard = _GuardParser(line[1:close], table, line_no).parse()
-            edges[current].append((guard, int(target_text)))
+            edges[current].append((read_guard(line[1:close], line_no), int(target_text)))
         else:
             raise HoaError(f"unexpected body line {line!r}", line_no)
     if not end_seen:

@@ -41,9 +41,9 @@ from .boolexpr import (
     Lit,
     Not,
     Or,
-    TRUE,
     Var,
     format_expr,
+    letter_set,
 )
 
 
@@ -327,8 +327,9 @@ def format_pattern(pattern: PatternFormula) -> str:
 
 def compile_pattern(pattern: PatternFormula, table: ApTable) -> OmegaAutomaton:
     """Compile a pattern into a deterministic total automaton over ``table``
-    whose lasso language matches the pattern semantics."""
-    true_ = TRUE
+    whose lasso language matches the pattern semantics.  Each condition is
+    evaluated once, as a letter set; the edges follow by set algebra."""
+    full = (1 << table.n_letters) - 1
 
     def automaton(acceptance, *rows):
         # state 0 is initial
@@ -337,41 +338,40 @@ def compile_pattern(pattern: PatternFormula, table: ApTable) -> OmegaAutomaton:
     match pattern:
         case StateInit(b):
             # 0: reads the first letter; 1: satisfied; 2: failed (both absorbing)
+            b = letter_set(b, table)
             return automaton(
                 Buchi(frozenset({1})),
-                [(b, 1), (Not(b), 2)],
-                [(true_, 1)],
-                [(true_, 2)])
+                [(b, 1), (full ^ b, 2)],
+                [(full, 1)],
+                [(full, 2)])
         case Always(b):
             # 0: invariant holds so far; 1: failure sink
+            b = letter_set(b, table)
             return automaton(
                 Buchi(frozenset({0})),
-                [(b, 0), (Not(b), 1)],
-                [(true_, 1)])
-        case Recurrence(b):
+                [(b, 0), (full ^ b, 1)],
+                [(full, 1)])
+        case Recurrence(b) | Persistence(b):
             # 1 is entered exactly on letters satisfying the condition
-            return automaton(
-                Buchi(frozenset({1})),
-                [(Not(b), 0), (b, 1)],
-                [(Not(b), 0), (b, 1)])
-        case Persistence(b):
-            return automaton(
-                CoBuchi(frozenset({0})),
-                [(Not(b), 0), (b, 1)],
-                [(Not(b), 0), (b, 1)])
+            b = letter_set(b, table)
+            row = [(full ^ b, 0), (b, 1)]
+            return automaton(Buchi(frozenset({1})) if isinstance(pattern, Recurrence)
+                             else CoBuchi(frozenset({0})), row, row)
         case NextResponse(t, r):
             # 0: no obligation; 1: the previous letter raised one; 2: failure sink
+            t, r = letter_set(t, table), letter_set(r, table)
             return automaton(
                 Buchi(frozenset({0, 1})),
-                [(Not(t), 0), (t, 1)],
-                [(And(r, Not(t)), 0), (And(r, t), 1), (Not(r), 2)],
-                [(true_, 2)])
+                [(full ^ t, 0), (t, 1)],
+                [(r & ~t, 0), (r & t, 1), (full ^ r, 2)],
+                [(full, 2)])
         case Response(t, r):
             # 0: idle; 1: waiting for the reaction
+            t, r = letter_set(t, table), letter_set(r, table)
             return automaton(
                 Buchi(frozenset({0})),
-                [(Or(Not(t), r), 0), (And(t, Not(r)), 1)],
-                [(r, 0), (Not(r), 1)])
+                [(full ^ t | r, 0), (t & ~r, 1)],
+                [(r, 0), (full ^ r, 1)])
     raise TypeError(f"not a pattern formula: {pattern!r}")
 
 

@@ -333,16 +333,26 @@ def differential_test(
     of one length are checked together, in chunks of at most
     ``_CHUNK_CELLS`` (word, state) cells.  In a collapsed product state
     every conjunct it no longer tracks reads as failing: one of them has
-    failed for good, so the verdict is the same.
+    failed for good, so the verdict is the same.  Raises
+    :class:`CapacityExceeded` beyond ``max_aps`` propositions, or when the
+    lassos number ``2 ** 63`` or more: they are counted in int64.
     """
     if len(spec.inputs) + len(spec.outputs) > max_aps:
         raise CapacityExceeded(
             f"differential enumeration is limited to {max_aps} propositions")
     if len(spec.components) > 58:
         raise CapacityExceeded("too many conjuncts for packed signatures")
+    n_letters = 1 << len(spec.inputs) + len(spec.outputs)
+    # stem multiplicities and mismatch sums are int64: the lasso count must fit
+    # (over two or more letters, the lassos 63 letters long alone do not)
+    if n_letters > 1 and max_stem + max_loop > 62 or (
+            sum(n_letters ** i for i in range(max_stem + 1))
+            * sum(n_letters ** i for i in range(1, max_loop + 1)) >= 2 ** 63):
+        raise CapacityExceeded(
+            f"differential enumeration of stems up to {max_stem} and loops up to "
+            f"{max_loop} letters over {n_letters} letters exceeds 2**63 lassos")
     pa = build_product(spec)
     n = pa.n_states
-    n_letters = pa.table.n_letters
     # int32 index arrays would be converted on every gather below
     transitions = pa.transitions.astype(np.intp)
 

@@ -87,6 +87,16 @@ def guard_table(edges, table: ApTable) -> list[list[int]]:
     return rows
 
 
+def letter_edges(edges, table: ApTable) -> tuple:
+    """Guard-labelled edges (``edges[s]`` lists the ``(guard, target)`` pairs
+    of state ``s``) as the ``(letter set, target)`` pairs that
+    :meth:`OmegaAutomaton.from_edges` reads, every guard evaluated on every
+    letter."""
+    return tuple(tuple((sum(1 << letter for letter in table.letters()
+                            if evaluate(g, letter, table)), t) for g, t in state_edges)
+                 for state_edges in edges)
+
+
 def guard_issues(edges, table: ApTable) -> list:
     """Determinism and totality issues found by evaluating every guard on
     every letter, state by state and letter by letter."""
@@ -265,6 +275,32 @@ def induced_lasso(machine, input_lasso: Lasso) -> Lasso:
             loop = [a for p in per_pass[first:] for a in p]
             return Lasso(tuple(stem), tuple(loop))
         boundaries[current] = len(per_pass)
+
+
+def owner(game: SynthesisGame, v: int) -> int:
+    return ENVIRONMENT if v < game.n_states else SYSTEM
+
+
+def colour(game: SynthesisGame, v: int) -> int:
+    return game.state_colours[v] if v < game.n_states else 0
+
+
+def env_move(game: SynthesisGame, v: int, input_letter: int) -> int:
+    """Successor of an Environment vertex under an input choice."""
+    return game.n_states + (v << game.input_bits) + input_letter
+
+
+def system_move(game: SynthesisGame, v: int, output_letter: int) -> int:
+    """Successor of a System vertex under an output choice."""
+    state, input_letter = divmod(v - game.n_states, game.n_inputs)
+    return game.transitions.item(state, input_letter | output_letter << game.input_bits)
+
+
+def moves(game: SynthesisGame, v: int) -> list[tuple[int, int]]:
+    """All ``(letter, target)`` moves of a vertex, in letter order."""
+    if v < game.n_states:
+        return [(x, env_move(game, v, x)) for x in range(game.n_inputs)]
+    return [(y, system_move(game, v, y)) for y in range(game.n_outputs)]
 
 
 def reference_zielonka(game: SynthesisGame) -> Solution:

@@ -23,7 +23,7 @@ from rabinsynth.automata import (
     validate,
 )
 from rabinsynth.boolexpr import (
-    FALSE, And, ApTable, Iff, Implies, Lit, Not, Or, TRUE, Var, proposition_sets)
+    FALSE, And, ApTable, Iff, Implies, Lit, Not, Or, TRUE, Var, letter_set, proposition_sets)
 from rabinsynth.rand import random_letter_automaton
 
 from helpers import (
@@ -33,17 +33,23 @@ P = ApTable(("p",))
 PQ = ApTable(("p", "q"))
 
 
+def letter_sets(edges, table) -> tuple:
+    """Guard-labelled edges with each guard read by ``letter_set``."""
+    return tuple(tuple((letter_set(g, table), t) for g, t in row) for row in edges)
+
+
 def tracker(acceptance) -> OmegaAutomaton:
     """Two states: 1 is entered exactly on letters satisfying p."""
     p = Var("p")
     row = ((Not(p), 0), (p, 1))
-    return OmegaAutomaton.from_edges(P, 0, (row, row), acceptance)
+    return OmegaAutomaton.from_edges(P, 0, letter_sets((row, row), P), acceptance)
 
 
 def issues_of(table, initial, edges, acceptance) -> list:
-    """The issues :meth:`OmegaAutomaton.from_edges` raises, or ``[]``."""
+    """The issues :meth:`OmegaAutomaton.from_edges` raises on guard-labelled
+    edges, or ``[]``."""
     try:
-        OmegaAutomaton.from_edges(table, initial, edges, acceptance)
+        OmegaAutomaton.from_edges(table, initial, letter_sets(edges, table), acceptance)
     except ValidationError as exc:
         return exc.issues
     return []
@@ -53,7 +59,7 @@ class TestValidate:
     """The issues the constructor raises."""
 
     def test_true_self_loop_is_total(self):
-        aut = OmegaAutomaton.from_edges(P, 0, (((TRUE, 0),),), Buchi(frozenset({0})))
+        aut = OmegaAutomaton.from_edges(P, 0, (((0b11, 0),),), Buchi(frozenset({0})))
         assert aut.targets.tolist() == [[0, 0]]
         assert validate(aut, P) == validate(aut, PQ) == []
 
@@ -80,7 +86,7 @@ class TestValidate:
         assert any(isinstance(i, RangeError) for i in issues)
 
     def test_table_without_its_propositions_is_refused(self):
-        aut = OmegaAutomaton.from_edges(PQ, 0, (((TRUE, 0),),), Safety())
+        aut = OmegaAutomaton.from_edges(PQ, 0, (((0b1111, 0),),), Safety())
         assert validate(aut, P) == [RangeError("proposition 'q' is not in the table")]
         with pytest.raises(ValidationError):
             transition_table(aut, P)
@@ -108,16 +114,17 @@ def random_guarded_edges(rng: random.Random):
 
 
 class TestTransitionTable:
-    """The constructor evaluates guards once each, as letter sets; the
-    reference evaluates every guard on every letter.  Over a larger table,
-    ``transition_table`` projects each letter; the reference reads each
-    letter by proposition name."""
+    """``letter_set`` evaluates guards once each, as letter sets, and the
+    constructor fills the table from those sets; the reference evaluates every
+    guard on every letter.  Over a larger table, ``transition_table`` projects
+    each letter; the reference reads each letter by proposition name."""
 
     def test_matches_per_letter_evaluation(self):
         rng = random.Random(99)
         for _ in range(300):
             table, aut, edges = random_guarded_edges(rng)
-            built = OmegaAutomaton.from_edges(table, aut.initial, edges, aut.acceptance)
+            built = OmegaAutomaton.from_edges(
+                table, aut.initial, letter_sets(edges, table), aut.acceptance)
             assert built.targets.tolist() == guard_table(edges, table)
             assert transition_table(built, table) is built.targets
             wider = ApTable(("x",) + table.names[::-1] + ("y",))
@@ -138,8 +145,7 @@ class TestTransitionTable:
 
     def test_unknown_name_raises_key_error(self):
         with pytest.raises(KeyError, match="unknown proposition: 'z'"):
-            OmegaAutomaton.from_edges(
-                PQ, 0, (((Var("z"), 0), (Not(Var("z")), 0)),), Safety())
+            letter_set(Not(Var("z")), PQ)
 
     def test_twenty_proposition_sets_are_fast(self):
         proposition_sets.cache_clear()

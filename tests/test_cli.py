@@ -160,6 +160,10 @@ class TestOracleTest:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"checked": 1764, "mismatches": 0}
 
+    def test_lasso_count_beyond_int64_exits_two(self, capsys):
+        assert run(["oracle-test", corpus("gf_arbiter.json"), "--max-stem", "40"]) == 2
+        assert "2**63" in capsys.readouterr().err
+
     def test_wide_alphabet_needs_flag(self, capsys):
         assert run(["oracle-test", corpus("robust_mutex.json")]) == 2
         assert run(["oracle-test", corpus("robust_mutex.json"),

@@ -8,6 +8,8 @@ from rabinsynth.product import NormalizedSpec, build_product
 from rabinsynth.pipeline import product_accepts
 from rabinsynth.solvers import solve_progress_measures, solve_zielonka
 
+from helpers import colour, env_move, moves, owner, system_move
+
 
 def gf_game():
     table = ApTable(("r", "g"))
@@ -29,25 +31,25 @@ class TestShape:
     def test_alternation_and_ownership(self):
         _, game = gf_game()
         for v in range(game.n_vertices):
-            if game.owner(v) == ENVIRONMENT:
-                assert all(game.owner(t) == SYSTEM for _, t in game.moves(v))
+            if owner(game, v) == ENVIRONMENT:
+                assert all(owner(game, t) == SYSTEM for _, t in moves(game, v))
             else:
-                assert all(game.owner(t) == ENVIRONMENT for _, t in game.moves(v))
+                assert all(owner(game, t) == ENVIRONMENT for _, t in moves(game, v))
 
     def test_system_vertices_carry_colour_zero(self):
         pa, game = gf_game()
         for v in range(game.n_states, game.n_vertices):
-            assert game.colour(v) == 0
+            assert colour(game, v) == 0
         for v in range(game.n_states):
-            assert game.colour(v) == pa.colours[v]
+            assert colour(game, v) == pa.colours[v]
 
     def test_moves_are_total_and_letter_ordered(self):
         _, game = gf_game()
         for v in range(game.n_vertices):
-            labels = [label for label, _ in game.moves(v)]
+            labels = [label for label, _ in moves(game, v)]
             assert labels == sorted(labels)
             assert len(labels) == (
-                game.n_inputs if game.owner(v) == ENVIRONMENT else game.n_outputs)
+                game.n_inputs if owner(game, v) == ENVIRONMENT else game.n_outputs)
 
 
 class TestPlayRunCorrespondence:
@@ -64,8 +66,8 @@ class TestPlayRunCorrespondence:
             run_state = pa.initial
             run_states = []
             for x, y in decisions:
-                middle = game.env_move(vertex, x)
-                vertex = game.system_move(middle, y)
+                middle = env_move(game, vertex, x)
+                vertex = system_move(game, middle, y)
                 visited_states.append(vertex)
                 letter = x | y << game.input_bits
                 run_state = pa.transitions[run_state][letter]
@@ -91,11 +93,11 @@ class TestPlayRunCorrespondence:
                 for letter in loop:
                     x = letter & (game.n_inputs - 1)
                     y = letter >> game.input_bits
-                    middle = game.env_move(vertex, x)
-                    vertex = game.system_move(middle, y)
+                    middle = env_move(game, vertex, x)
+                    vertex = system_move(game, middle, y)
                     visits.append(vertex)
             recurring = visits[len(visits) // 2:]
-            play_verdict = max(game.colour(v) for v in recurring) % 2 == 0
+            play_verdict = max(colour(game, v) for v in recurring) % 2 == 0
             assert play_verdict == product_accepts(pa, lasso)
 
 

@@ -5,13 +5,14 @@ import pytest
 
 from rabinsynth.automata import (
     Buchi,
+    CoBuchi,
     OmegaAutomaton,
     OnePairRabin,
     Parity,
     Safety,
     ValidationError,
 )
-from rabinsynth.boolexpr import ApTable, Not, Var
+from rabinsynth.boolexpr import And, ApTable, Lit, Not, Or, Var
 from rabinsynth.hoa import (
     MAX_GUARD_DEPTH,
     HoaError,
@@ -20,9 +21,9 @@ from rabinsynth.hoa import (
     emit_letter_table,
     parse_hoa,
 )
-from rabinsynth.rand import random_letter_automaton
+from rabinsynth.rand import random_bool_expr, random_letter_automaton
 
-from helpers import letter_table, same_automaton
+from helpers import evaluate, letter_edges, letter_table, same_automaton
 
 MINIMAL_BUCHI = """\
 HOA: v1
@@ -217,6 +218,118 @@ class TestGuardDepth:
         assert emit_hoa(aut, parsed_table) == text
 
 
+def with_acceptance(acc_name: str, n_sets: int, formula: str) -> str:
+    """:data:`MINIMAL_BUCHI` under another acceptance; its one state is in
+    set 0, unless the acceptance has no sets."""
+    text = MINIMAL_BUCHI.replace("acc-name: Buchi", f"acc-name: {acc_name}")
+    text = text.replace("Acceptance: 1 Inf(0)", f"Acceptance: {n_sets} {formula}")
+    return text if n_sets else text.replace("State: 0 {0}", "State: 0")
+
+
+class TestAcceptanceSpellings:
+    """An ``Acceptance:`` line is read as a formula and compared with the
+    acc-name's canonical one: parentheses and spaces are free, the order and
+    grouping of the atoms are not."""
+
+    @pytest.mark.parametrize("acc_name, n_sets, formula, kind", [
+        ("Buchi", 1, "(Inf(0))", Buchi),
+        ("Buchi", 1, "((Inf ( 0 )))", Buchi),
+        ("co-Buchi", 1, "(Fin(0))", CoBuchi),
+        ("Rabin 1", 2, "Fin(0)&Inf(1)", OnePairRabin),
+        ("Rabin 1", 2, "(Fin(0)) & (Inf(1))", OnePairRabin),
+        ("Rabin 1", 2, "((Fin(0) & Inf(1)))", OnePairRabin),
+        ("parity max even 1", 1, "(Inf(0))", Parity),
+        ("parity max even 3", 3, "Inf(2) | Fin(1) & Inf(0)", Parity),
+        ("parity max even 3", 3, "(Inf(2)|(Fin(1)&(Inf(0))))", Parity),
+        ("parity max even 4", 4, "Fin(3) & (Inf(2) | Fin(1) & Inf(0))", Parity),
+        ("safety", 0, "(t)", Safety),
+    ])
+    def test_accepted(self, acc_name, n_sets, formula, kind):
+        aut, _ = parse_hoa(with_acceptance(acc_name, n_sets, formula))
+        assert type(aut.acceptance) is kind
+
+    @pytest.mark.parametrize("acc_name, n_sets, formula", [
+        ("Buchi", 1, "Fin(0)"),
+        ("Buchi", 1, "Inf(1)"),
+        ("Buchi", 1, "!Inf(0)"),
+        ("Buchi", 1, "Inf(0) | f"),
+        ("Buchi", 1, "Inf(0))"),
+        ("Buchi", 1, "Inf(0"),
+        ("co-Buchi", 1, "Inf(0)"),
+        ("Rabin 1", 2, "Inf(1) & Fin(0)"),
+        ("Rabin 1", 2, "Fin(0) | Inf(1)"),
+        ("Rabin 1", 2, "Fin(0) & Inf(1) & t"),
+        ("parity max even 3", 3, "(Inf(2) | Fin(1)) & Inf(0)"),
+        ("parity max even 3", 3, "Fin(1) & Inf(0) | Inf(2)"),
+        ("parity max even 3", 3, "Inf(2) | (Fin(1) & (Inf(0) & Inf(0)))"),
+        ("parity max even 4", 4, "Fin(3) & Inf(2) | Fin(1) & Inf(0)"),
+        ("safety", 0, "f"),
+    ])
+    def test_refused_at_its_line(self, acc_name, n_sets, formula):
+        with pytest.raises(HoaError) as err:
+            parse_hoa(with_acceptance(acc_name, n_sets, formula))
+        assert err.value.line == 6
+
+
+def hoa_guard(expr, table: ApTable, rng: random.Random, context: int = 0) -> str:
+    """``expr`` written in the HOA guard grammar, with parentheses where the
+    context needs them (0: a disjunct, 1: a conjunct, 2: an operand of ``!``)
+    and, at random, where it does not."""
+    match expr:
+        case Var(name):
+            text, level = str(table.bit(name)), 2
+        case Lit(value):
+            text, level = "t" if value else "f", 2
+        case Not(arg):
+            text, level = "!" + hoa_guard(arg, table, rng, 2), 2
+        case And(left, right) | Or(left, right):
+            level = 1 if isinstance(expr, And) else 0
+            op = rng.choice(["&", " & "] if level else ["|", " | "])
+            text = (hoa_guard(left, table, rng, level) + op
+                    + hoa_guard(right, table, rng, level))
+    return f"({text})" if level < context or rng.random() < 0.2 else text
+
+
+class TestGuardGrammar:
+    """Malformed guards raise :class:`HoaError` at their line; well-formed
+    ones hold on the letters the per-letter reference finds."""
+
+    @pytest.mark.parametrize("guard, why", [
+        ("", "unexpected end"),
+        ("0 &", "unexpected end"),
+        ("(0 | !0", "unexpected end"),
+        ("0 | !0 )", "trailing tokens near ')'"),
+        ("0 !0", "trailing tokens near '!'"),
+        ("(0 t", "expected ')'"),
+        ("1", "AP index 1 out of range"),
+        ("0 | 7", "AP index 7 out of range"),
+        ("p", "unexpected token 'p'"),
+        ("0 & |", "unexpected token '|'"),
+        ("()", "unexpected token ')'"),
+    ])
+    def test_malformed_guard_is_refused_at_its_line(self, guard, why):
+        with pytest.raises(HoaError, match="bad guard") as err:
+            parse_hoa(MINIMAL_BUCHI.replace("[t] 0", f"[{guard}] 0"))
+        assert why in str(err.value)
+        assert err.value.line == 9
+
+    def test_random_guards_hold_on_the_reference_letters(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            table = ApTable(("p", "q", "r")[:rng.randint(1, 3)])
+            expr = random_bool_expr(rng, table.names, depth=4)
+            guard = hoa_guard(expr, table, rng)
+            aps = " ".join(f'"{n}"' for n in table.names)
+            text = (f"HOA: v1\nStates: 2\nStart: 0\nAP: {table.size} {aps}\n"
+                    f"acc-name: Buchi\nAcceptance: 1 Inf(0)\n--BODY--\n"
+                    f"State: 0\n[{guard}] 1\n[!({guard})] 0\nState: 1 {{0}}\n[t] 1\n"
+                    f"--END--\n")
+            aut, parsed_table = parse_hoa(text)
+            assert parsed_table == table
+            assert aut.targets.tolist()[0] == [
+                int(evaluate(expr, letter, table)) for letter in table.letters()], guard
+
+
 def assert_isomorphic(a, ta, b, tb):
     assert a.n_states == b.n_states
     assert a.initial == b.initial
@@ -273,7 +386,8 @@ class TestRoundTrip:
     ], ids=["nondeterministic", "partial"])
     def test_invalid_automaton_is_refused(self, edges):
         with pytest.raises(ValidationError):
-            OmegaAutomaton.from_edges(self.TABLE, 0, (edges,), Buchi(frozenset({0})))
+            OmegaAutomaton.from_edges(
+                self.TABLE, 0, letter_edges((edges,), self.TABLE), Buchi(frozenset({0})))
 
     def test_emitted_guard_grammar(self):
         for aut in self.sample_automata():

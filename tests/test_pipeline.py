@@ -43,6 +43,7 @@ from rabinsynth.solvers import solve_zielonka
 from helpers import (
     all_lassos,
     induced_lasso,
+    letter_edges,
     machine_outputs,
     random_machine,
     reference_machine_to_dict,
@@ -77,7 +78,7 @@ def two_state_hoa(name: str, acceptance) -> str:
     p = Var(name)
     table = ApTable((name,))
     aut = OmegaAutomaton.from_edges(
-        table, 0, (((p, 0), (Not(p), 1)), ((Lit(True), 1),)), acceptance)
+        table, 0, letter_edges((((p, 0), (Not(p), 1)), ((Lit(True), 1),)), table), acceptance)
     return emit_hoa(aut, table)
 
 
@@ -472,15 +473,18 @@ class TestLetterTables:
     @pytest.mark.parametrize("problem", [
         arbiter_problem(2), load_problem("gf_arbiter_hoa.json")], ids=["arbiter2", "gf_hoa"])
     def test_no_guard_is_evaluated_after_normalisation(self, problem, monkeypatch):
-        from rabinsynth import automata, boolexpr
+        from rabinsynth import boolexpr, hoa, ltl
 
         spec = normalize_problem(problem)
 
         def no_guards(*args):
             raise AssertionError("a guard was evaluated")
 
-        monkeypatch.setattr(automata, "letter_set", no_guards)
+        # pattern conditions, HOA guards, and any automaton built from letter sets
         monkeypatch.setattr(boolexpr, "letter_set", no_guards)
+        monkeypatch.setattr(ltl, "letter_set", no_guards)
+        monkeypatch.setattr(hoa, "_parse_formula", no_guards)
+        monkeypatch.setattr(OmegaAutomaton, "from_edges", no_guards)
         pa = build_product(spec)
         assert differential_test(spec, 1, 2, max_aps=4).mismatches == 0
         for lasso in all_lassos(spec.table(), 1, 1):
@@ -515,6 +519,17 @@ class TestDifferential:
             spec = random_normalized_spec(rng)
             report = differential_test(spec, 2, 3)
             assert report.mismatches == 0, spec
+
+    def test_lasso_counts_beyond_int64_are_refused(self):
+        # over 8 letters, the 8 ** 21 stems of length 21 alone pass 2 ** 63
+        with pytest.raises(CapacityExceeded, match="2\\*\\*63"):
+            differential_test(NormalizedSpec(("a",), ("b", "c"), (), (), (), ()), 21, 1)
+        # over 4 letters, stems up to 30 and loops of 1 are the most that fit
+        report = differential_test(gf_spec(), 30, 1)
+        assert report.checked == sum(4 ** i for i in range(31)) * 4
+        assert report.mismatches == 0
+        with pytest.raises(CapacityExceeded):
+            differential_test(gf_spec(), 31, 1)
 
     def test_alphabet_guard(self):
         spec = NormalizedSpec(("a", "b"), ("c", "d"), (), (), (), ())

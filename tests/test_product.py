@@ -36,7 +36,8 @@ from rabinsynth.pipeline import (
 )
 from rabinsynth.rand import arbiter_problem, random_lassos, random_normalized_spec
 
-from helpers import all_lassos, colour_of, control_successor, reference_product
+from helpers import (
+    all_lassos, colour_of, control_successor, letter_edges, reference_product)
 
 
 def gf_spec():
@@ -235,12 +236,13 @@ class TestBuildProduct:
         # no edge on !r & !g (letter 0), two edges on r & g (letter 3)
         table = ApTable(("r", "g"))
         with pytest.raises(ValidationError) as raised:
-            OmegaAutomaton.from_edges(
-                table, 0, (((Var("r"), 0), (Var("g"), 0)),), Buchi(frozenset({0})))
+            OmegaAutomaton.from_edges(table, 0, letter_edges(
+                (((Var("r"), 0), (Var("g"), 0)),), table), Buchi(frozenset({0})))
         assert raised.value.issues == [MissingEdge(0, 0), NondeterministicEdge(0, 3)]
         # a component over a proposition outside the spec
+        rx = ApTable(("r", "x"))
         foreign = OmegaAutomaton.from_edges(
-            ApTable(("r", "x")), 0, (((Var("x"), 0), (Not(Var("x")), 0)),),
+            rx, 0, letter_edges((((Var("x"), 0), (Not(Var("x")), 0)),), rx),
             Buchi(frozenset({0})))
         issues = validate(foreign, table)
         assert issues == [RangeError("proposition 'x' is not in the table")]

@@ -20,7 +20,7 @@ from rabinsynth.solvers import (
     solve_zielonka,
 )
 
-from helpers import reference_zielonka
+from helpers import env_move, owner, reference_zielonka, system_move
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE = ApTable(("r", "g"))
@@ -157,7 +157,7 @@ class TestCertify:
             game = random_game(rng, max_states=12)
             solution = solve_zielonka(game)
             sys_v1 = [v for v in solution.system_region
-                      if game.owner(v) == SYSTEM]
+                      if owner(game, v) == SYSTEM]
             if sys_v1 and solution.env_region:
                 return game, solution
 
@@ -167,7 +167,7 @@ class TestCertify:
         for v in sorted(solution.system_strategy):
             replacement = None
             for y in range(game.n_outputs):
-                if game.system_move(v, y) in solution.env_region:
+                if system_move(game, v, y) in solution.env_region:
                     replacement = y
                     break
             if replacement is not None:
@@ -213,9 +213,9 @@ class TestCertify:
         # closure violation rather than accept
         game, solution = self.game_and_solution()
         sys_strat = {v: 0 for v in solution.env_region
-                     if game.owner(v) == SYSTEM}
+                     if owner(game, v) == SYSTEM}
         env_strat = {v: 0 for v in solution.system_region
-                     if game.owner(v) == ENVIRONMENT}
+                     if owner(game, v) == ENVIRONMENT}
         swapped = Solution(
             solution.env_region, solution.system_region, sys_strat, env_strat)
         try:
@@ -243,9 +243,9 @@ class TestMonotonicityRegression:
         assert base_solution.env_region == frozenset(range(base.n_vertices))
         # state vertex 0 and the r=0 System vertex stay with the Environment
         v0 = 0
-        v1_r0 = extended.env_move(0, 0)
+        v1_r0 = env_move(extended, 0, 0)
         assert v0 in ext_solution.env_region
         assert v1_r0 in ext_solution.env_region
         # the new attractor (sink state and the r=1 vertex) went to the System
         assert 1 in ext_solution.system_region
-        assert extended.env_move(0, 1) in ext_solution.system_region
+        assert env_move(extended, 0, 1) in ext_solution.system_region
