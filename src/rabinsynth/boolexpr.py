@@ -18,7 +18,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 #: ``2 ** size`` letters, and the time and memory double with each name.
 MAX_PROPOSITIONS = 20
 
-#: Deepest nesting the formula parsers accept (``!``, parentheses and, in
+#: Deepest nesting :func:`read_formula` accepts (``!``, parentheses and, in
 #: pattern formulas, ``->`` and ``<->``), so that every formula walk stays
 #: inside the recursion limit.  Flat ``&`` and ``|`` chains are not nesting:
 #: they parse and are walked at any length.
@@ -179,6 +179,54 @@ def letter_set(expr: BoolExpr, table: ApTable) -> int:
         raise TypeError(f"not a boolean expression: {e!r}")
 
     return of(expr)
+
+
+def read_formula(tokens: list[str], operators, atom, negate, fail,
+                 pos: int = 0, first: int = 0):
+    """Read one formula from ``tokens[pos:]``, starting at the operator
+    ``operators[first]`` (``first = len(operators)``: one operand); return
+    its value and the position after it.  ``operators`` lists the binary
+    operators loosest first as ``(token, combine, kind)``: a ``"flat"`` one
+    chains to the left at no nesting cost, a ``"left"`` one chains to the
+    left at one level per operator, a ``"right"`` one nests to the right at
+    one level per operator.  ``!`` and parentheses cost one level each; at
+    most :data:`MAX_GUARD_DEPTH` levels are read.
+    ``atom(token)`` reads any other operand, ``negate`` reads ``!`` and
+    ``fail(why)`` raises."""
+    end, loosest = len(tokens), len(operators)
+
+    def deeper(level: int) -> int:
+        if level == MAX_GUARD_DEPTH:
+            fail(f"nested deeper than {MAX_GUARD_DEPTH} levels")
+        return level + 1
+
+    def formula(i: int, level: int):
+        nonlocal pos
+        if i == loosest:  # one operand
+            if pos == end:
+                fail("unexpected end")
+            tok = tokens[pos]
+            pos += 1
+            if tok != "!" and tok != "(":
+                return atom(tok)
+            if tok == "!":
+                return negate(formula(loosest, deeper(level)))
+            value = formula(0, deeper(level))
+            if pos == end or tokens[pos] != ")":
+                fail("unexpected end" if pos == end else "expected ')'")
+            pos += 1
+            return value
+        token, combine, kind = operators[i]
+        value = formula(i + 1, level)
+        while pos < end and tokens[pos] == token:
+            pos += 1
+            if kind != "flat":
+                level = deeper(level)
+            # a "right" operand reads the rest of its chain
+            value = combine(value, formula(i if kind == "right" else i + 1, level))
+        return value
+
+    return formula(first, 0), pos
 
 
 def letters_in(letters: int) -> list[int]:

@@ -37,7 +37,7 @@ from .automata import (
     Safety,
     transition_table,
 )
-from .boolexpr import MAX_GUARD_DEPTH, ApTable, proposition_sets
+from .boolexpr import MAX_GUARD_DEPTH, ApTable, proposition_sets, read_formula
 
 
 class HoaError(Exception):
@@ -58,53 +58,11 @@ class UnsupportedFeature(HoaError):
 # formulas: guards and acceptance conditions share one grammar
 
 
-def _parse_formula(tokens: list[str], atom, both, either, negate, fail):
-    """Read ``tokens`` as a disjunction (``|``) of conjunctions (``&``) of
-    operands, with ``!`` and parentheses nested at most
-    :data:`MAX_GUARD_DEPTH` deep.  ``atom(token)`` reads any other operand
-    token, ``both`` and ``either`` combine two operands of ``&`` and ``|``,
-    ``negate`` reads ``!``, and ``fail(why)`` raises."""
-    pos, end = 0, len(tokens)
-
-    def operand(depth: int):
-        nonlocal pos
-        if pos == end:
-            fail("unexpected end")
-        tok = tokens[pos]
-        pos += 1
-        if tok != "!" and tok != "(":
-            return atom(tok)
-        if depth == MAX_GUARD_DEPTH:
-            fail(f"nested deeper than {MAX_GUARD_DEPTH} levels")
-        if tok == "!":
-            return negate(operand(depth + 1))
-        value = disjunction(depth + 1)
-        if pos == end:
-            fail("unexpected end")
-        if tokens[pos] != ")":
-            fail("expected ')'")
-        pos += 1
-        return value
-
-    def conjunction(depth: int):
-        nonlocal pos
-        value = operand(depth)
-        while pos < end and tokens[pos] == "&":
-            pos += 1
-            value = both(value, operand(depth))
-        return value
-
-    def disjunction(depth: int):
-        nonlocal pos
-        value = conjunction(depth)
-        while pos < end and tokens[pos] == "|":
-            pos += 1
-            value = either(value, conjunction(depth))
-        return value
-
-    value = disjunction(0)
-    if pos != end:
-        fail(f"trailing tokens near {tokens[pos]!r}")
+def _read_whole(tokens: list[str], operators, atom, negate, fail):
+    """:func:`~rabinsynth.boolexpr.read_formula` over all of ``tokens``."""
+    value, end = read_formula(tokens, operators, atom, negate, fail)
+    if end != len(tokens):
+        fail(f"trailing tokens near {tokens[end]!r}")
     return value
 
 
@@ -151,8 +109,9 @@ def _parse_acc_formula(text: str, line: int):
         return lambda x, y: (op, *(x[1:] if x[0] == op else (x,)),
                              *(y[1:] if y[0] == op else (y,)))
 
-    return _parse_formula(_ACC_TOKEN.findall(text), atom, flat("and"), flat("or"),
-                          lambda _: fail("unexpected token '!'"), fail)
+    operators = (("|", flat("or"), "flat"), ("&", flat("and"), "flat"))
+    return _read_whole(_ACC_TOKEN.findall(text), operators, atom,
+                       lambda _: fail("unexpected token '!'"), fail)
 
 
 def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) -> None:
@@ -178,6 +137,7 @@ def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) 
 
 
 _GUARD_TOKEN = re.compile(r"\d+|\S")
+_GUARD_OPERATORS = (("|", or_, "flat"), ("&", and_, "flat"))
 
 
 def _guard_reader(table: ApTable):
@@ -201,7 +161,7 @@ def _guard_reader(table: ApTable):
                 letters = atoms[str(index)]
             return letters
 
-        return _parse_formula(_GUARD_TOKEN.findall(text), atom, and_, or_, full.__xor__, fail)
+        return _read_whole(_GUARD_TOKEN.findall(text), _GUARD_OPERATORS, atom, full.__xor__, fail)
 
     return read
 

@@ -9,7 +9,8 @@ The accepted language is a small set of shapes over boolean state formulas:
 * ``G (b1 -> X b2)``      -- one-step response
 * ``G (b1 -> F b2)``      -- eventual response
 
-Conjuncts may be joined with a top-level ``&``; each piece is compiled to a
+Conjuncts may be joined with a top-level ``&`` (refused beside a top-level
+``|``, ``->`` or ``<->``, as ambiguous); each piece is compiled to a
 small deterministic automaton.  Anything outside these shapes (``U``, nested
 temporal operators, ...) is rejected with a pointer to the automaton-based
 input path, which accepts arbitrary Rabin-index-1 properties.
@@ -32,7 +33,6 @@ from .automata import (
     decompose_rabin,
 )
 from .boolexpr import (
-    MAX_GUARD_DEPTH,
     And,
     ApTable,
     BoolExpr,
@@ -44,6 +44,7 @@ from .boolexpr import (
     Var,
     format_expr,
     letter_set,
+    read_formula,
 )
 
 
@@ -104,13 +105,15 @@ PatternFormula = Union[
 # tokenizer / parser
 
 _TEMPORAL = {"G", "F", "X", "U"}
+_TEMPORAL_WORD = re.compile(r"[GFXU]+")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[!&|()]|\S")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
     for tok in _TOKEN.findall(text):
-        if re.fullmatch(r"[GFXU]+", tok):
+        if _TEMPORAL_WORD.fullmatch(tok):
             tokens.extend(tok)  # allow the compact forms GF / FG
         elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[!&|()]", tok):
             tokens.append(tok)
@@ -119,130 +122,83 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
+def unnameable(name: str) -> bool:
+    """Whether pattern text cannot name the proposition ``name``: the
+    tokenizer reads ``true`` and ``false`` as constants, and words of
+    ``G F X U`` letters as temporal operators."""
+    return name in ("true", "false") or _TEMPORAL_WORD.fullmatch(name) is not None
 
-    def nest(self) -> None:
-        """Enter one more level of ``!``, parentheses, ``->`` or ``<->``."""
-        self.depth += 1
-        if self.depth > MAX_GUARD_DEPTH:
-            raise LtlError(f"formula nested deeper than {MAX_GUARD_DEPTH} levels")
 
-    def peek(self, ahead: int = 0) -> str | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+#: the boolean operators of pattern formulas, loosest first (see
+#: :func:`~rabinsynth.boolexpr.read_formula`)
+_OPERATORS = (("<->", Iff, "left"), ("->", Implies, "right"), ("|", Or, "flat"),
+              ("&", And, "flat"))
+_OR_LEVEL, _OPERAND = 2, len(_OPERATORS)
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise LtlError("unexpected end of formula")
-        if expected is not None and tok != expected:
-            raise LtlError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
-        return tok
 
-    # boolean grammar: <-> binds loosest, then ->, |, &, !
-    def bool_expr(self) -> BoolExpr:
-        return self.iff_chain(self.bool_implies())
+def _fail(why: str):
+    raise LtlError(why)
 
-    def iff_chain(self, expr: BoolExpr) -> BoolExpr:
-        # a <-> chain nests to the left, one level per operator
-        depth = self.depth
-        while self.peek() == "<->":
-            self.take()
-            self.nest()
-            expr = Iff(expr, self.bool_implies())
-        self.depth = depth
-        return expr
 
-    def bool_implies(self, expr: BoolExpr | None = None) -> BoolExpr:
-        """An implication chain; ``expr``, if given, is its parsed first operand."""
-        expr = self.bool_or() if expr is None else expr
-        if self.peek() == "->":
-            self.take()
-            self.nest()
-            expr = Implies(expr, self.bool_implies())
-            self.depth -= 1
-        return expr
+def _atom(tok: str) -> BoolExpr:
+    if tok == "true":
+        return Lit(True)
+    if tok == "false":
+        return Lit(False)
+    if tok in _TEMPORAL:
+        raise UnsupportedFragment(tok)
+    if _NAME.fullmatch(tok):
+        return Var(tok)
+    raise LtlError(f"unexpected token {tok!r}")
 
-    def bool_or(self) -> BoolExpr:
-        expr = self.bool_and()
-        while self.peek() == "|":
-            self.take()
-            expr = Or(expr, self.bool_and())
-        return expr
 
-    def bool_and(self) -> BoolExpr:
-        expr = self.bool_unary()
-        while self.peek() == "&":
-            self.take()
-            expr = And(expr, self.bool_unary())
-        return expr
+def _read_pattern(tokens: list[str]) -> PatternFormula:
+    """Read one conjunct, a token list without a top-level ``&``."""
+    def read(pos: int, first: int) -> tuple[BoolExpr, int]:
+        return read_formula(tokens, _OPERATORS, _atom, Not, _fail, pos, first=first)
 
-    def bool_unary(self) -> BoolExpr:
-        tok = self.take()
-        if tok == "!" or tok == "(":
-            self.nest()
-            if tok == "!":
-                expr: BoolExpr = Not(self.bool_unary())
-            else:
-                expr = self.bool_expr()
-                self.take(")")
-            self.depth -= 1
-            return expr
-        if tok == "true":
-            return Lit(True)
-        if tok == "false":
-            return Lit(False)
-        if tok in _TEMPORAL:
-            raise UnsupportedFragment(tok)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            return Var(tok)
-        raise LtlError(f"unexpected token {tok!r}")
-
-    def pattern(self) -> PatternFormula:
-        tok = self.peek()
-        if tok == "G":
-            self.take()
-            if self.peek() == "F":
-                self.take()
-                return Recurrence(self.bool_unary())
-            if self.peek() == "(":
-                return self.g_parenthesised()
-            return Always(self.bool_unary())
-        if tok == "F":
-            self.take()
-            if self.peek() == "G":
-                self.take()
-                return Persistence(self.bool_unary())
-            raise UnsupportedFragment("F")
-        if tok in ("X", "U"):
-            raise UnsupportedFragment(tok)
-        return StateInit(self.bool_expr())
-
-    def g_parenthesised(self) -> PatternFormula:
-        # G ( ... ) is an invariant unless the parenthesised formula is a
-        # top-level implication whose consequent starts with X or F.
-        self.take("(")
-        left = self.bool_or()
-        if self.peek() == "->" and self.peek(1) in ("X", "F"):
-            self.take()
-            op = self.take()
-            right = self.bool_expr()
-            self.take(")")
-            return NextResponse(left, right) if op == "X" else Response(left, right)
-        # fall back to the boolean continuation of the invariant body
-        expr = self.iff_chain(self.bool_implies(left))
-        self.take(")")
-        return Always(expr)
+    head = tuple(tokens[:2])
+    if head in (("G", "F"), ("F", "G")):
+        condition, pos = read(2, _OPERAND)
+        pattern: PatternFormula = (Recurrence if head[0] == "G" else Persistence)(condition)
+    elif head == ("G", "("):
+        # an invariant, unless the parenthesised formula is a top-level
+        # implication whose consequent starts with X or F
+        trigger, pos = read(2, _OR_LEVEL)
+        if tokens[pos] == "->" and tokens[pos + 1] in ("X", "F"):
+            kind = NextResponse if tokens[pos + 1] == "X" else Response
+            reaction, pos = read(pos + 2, 0)
+            pattern = kind(trigger, reaction)
+        else:
+            if tokens[pos] != ")":
+                trigger, pos = read(2, 0)
+            pattern = Always(trigger)
+        if tokens[pos] != ")":
+            raise LtlError(f"expected ')', got {tokens[pos]!r}")
+        pos += 1
+    elif head[0] == "G":
+        condition, pos = read(1, _OPERAND)
+        pattern = Always(condition)
+    elif head[0] in _TEMPORAL:
+        raise UnsupportedFragment(head[0])
+    else:
+        condition, pos = read(0, 0)
+        pattern = StateInit(condition)
+    if pos != len(tokens):
+        leftover = tokens[pos]
+        if leftover in _TEMPORAL:
+            raise UnsupportedFragment(leftover)
+        raise LtlError(f"unexpected token {leftover!r} after pattern")
+    return pattern
 
 
 def _split_top_level(tokens: list[str]) -> list[list[str]]:
+    """Cut ``tokens`` at each top-level ``&``.  A top-level ``&`` next to a
+    top-level ``|``, ``->`` or ``<->`` is refused: the cut would bind looser
+    than the boolean grammar does."""
     segments: list[list[str]] = [[]]
     depth = 0
+    mixed = False
     for tok in tokens:
         if tok == "(":
             depth += 1
@@ -250,12 +206,17 @@ def _split_top_level(tokens: list[str]) -> list[list[str]]:
             depth -= 1
             if depth < 0:
                 raise LtlError("unbalanced parentheses")
-        if tok == "&" and depth == 0:
-            segments.append([])
-        else:
-            segments[-1].append(tok)
+        elif depth == 0:
+            if tok == "&":
+                segments.append([])
+                continue
+            mixed = mixed or tok in ("|", "->", "<->")
+        segments[-1].append(tok)
     if depth != 0:
         raise LtlError("unbalanced parentheses")
+    if mixed and len(segments) > 1:
+        raise LtlError("a top-level '&' next to a top-level '|', '->' or '<->' is "
+                       "ambiguous; parenthesise the boolean formula")
     return segments
 
 
@@ -268,14 +229,7 @@ def parse_ltl(text: str) -> list[PatternFormula]:
     for segment in _split_top_level(tokens):
         if not segment:
             raise LtlError("empty conjunct")
-        parser = _Parser(segment)
-        pattern = parser.pattern()
-        if parser.pos != len(segment):
-            leftover = segment[parser.pos]
-            if leftover in _TEMPORAL:
-                raise UnsupportedFragment(leftover)
-            raise LtlError(f"unexpected token {leftover!r} after pattern")
-        conjuncts.append(pattern)
+        conjuncts.append(_read_pattern(segment))
     return conjuncts
 
 

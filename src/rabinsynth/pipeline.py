@@ -23,7 +23,7 @@ from .automata import (
 from .boolexpr import ApTable, free_names
 from .game import SynthesisGame, build_game
 from .hoa import parse_hoa
-from .ltl import compile_pattern, normalize, parse_ltl
+from .ltl import compile_pattern, normalize, parse_ltl, unnameable
 from .mealy import MealyMachine, minimise
 from .graphs import find_max_colour_cycle
 from .product import (
@@ -108,6 +108,12 @@ def normalize_problem(problem: SpecProblem) -> NormalizedSpec:
         table = ApTable(tuple(problem.inputs) + tuple(problem.outputs))
     except (TypeError, ValueError) as exc:
         raise NormalizationError(f"bad proposition list: {exc}") from exc
+    if any(s.ltl is not None for s in (*problem.assumptions, *problem.guarantees)):
+        for name in table.names:
+            if unnameable(name):
+                raise NormalizationError(
+                    f"proposition {name!r} cannot be named in a pattern formula; "
+                    "rename it or give every conjunct as an automaton")
 
     def side(role: str, sources: Iterable[ConjunctSource]) -> list[OmegaAutomaton]:
         normalised = []

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rabinsynth.boolexpr import (
     And,
@@ -13,8 +13,10 @@ from rabinsynth.boolexpr import (
     format_expr,
     free_names,
     letter_set,
+    read_formula,
 )
-from rabinsynth.ltl import _Parser, _tokenize  # boolean grammar shared with patterns
+from rabinsynth.ltl import LtlError, StateInit, parse_ltl
+from rabinsynth.ltl import _OPERATORS, _atom, _fail, _tokenize  # the pattern grammar
 
 from helpers import evaluate
 
@@ -40,9 +42,9 @@ def exprs(depth=3):
 
 
 def parse_bool(text):
-    parser = _Parser(_tokenize(text))
-    expr = parser.bool_expr()
-    assert parser.pos == len(parser.tokens)
+    tokens = _tokenize(text)
+    expr, end = read_formula(tokens, _OPERATORS, _atom, Not, _fail)
+    assert end == len(tokens)
     return expr
 
 
@@ -108,3 +110,21 @@ def test_format_preserves_semantics(expr, letter):
     table = ApTable(NAMES)
     assert evaluate(parse_bool(format_expr(expr)), letter, table) == evaluate(
         expr, letter, table)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(exprs())
+def test_pattern_text_means_its_formula(expr):
+    """Read as pattern text, a formula is refused or means what it says: a
+    top-level ``&`` splits it into conjuncts that hold together exactly
+    where the formula does."""
+    table = ApTable(NAMES)
+    try:
+        conjuncts = parse_ltl(format_expr(expr))
+    except LtlError:
+        return
+    letters = (1 << table.n_letters) - 1
+    for conjunct in conjuncts:
+        assert isinstance(conjunct, StateInit)
+        letters &= letter_set(conjunct.condition, table)
+    assert letters == letter_set(expr, table)

@@ -53,6 +53,15 @@ class TestCheck:
         assert run(["check", str(bad)]) == 2
         assert "fragment" in capsys.readouterr().err
 
+    def test_proposition_pattern_text_cannot_name_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "inputs": ["i"], "outputs": ["false"],
+            "assumptions": [], "guarantees": [{"ltl": "G false"}],
+        }), encoding="utf-8")
+        assert run(["check", str(bad)]) == 2
+        assert "'false'" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_writes_machine_and_dot(self, tmp_path, capsys):

@@ -54,7 +54,10 @@ def ltl_seeds() -> list[str]:
     rng = random.Random(19)
     problem = arbiter_problem(2)
     return ([format_pattern(random_pattern(rng, ("p", "q", "r"))) for _ in range(20)]
-            + [c.ltl for c in problem.assumptions + problem.guarantees])
+            + [c.ltl for c in problem.assumptions + problem.guarantees]
+            # an ambiguous top-level & and names the tokenizer reads otherwise
+            + ["o | i & !o", "p -> q & G r", "p & q <-> r", "G false & G (true -> X GF)",
+               "G (F -> F XU)"])
 
 
 HOA_CHUNKS = ("(", ")", "!", "&", "|", "t", "f", "0", "1", "9", " ", "\n", "[", "]",

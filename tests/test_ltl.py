@@ -60,6 +60,25 @@ class TestParse:
     def test_top_level_conjunction_splits(self):
         assert parse_ltl("G p & GF q") == [Always(Var("p")), Recurrence(Var("q"))]
 
+    @pytest.mark.parametrize("text,expected", [
+        ("p & G q", [StateInit(Var("p")), Always(Var("q"))]),
+        ("(p | q) & r", [StateInit(Or(Var("p"), Var("q"))), StateInit(Var("r"))]),
+        ("!p & (q -> r)", [StateInit(Not(Var("p"))), StateInit(Implies(Var("q"), Var("r")))]),
+    ])
+    def test_top_level_conjunction_alone_splits(self, text, expected):
+        assert parse_ltl(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "o | i & !o", "i & o | o", "i -> o & o", "o & i -> o", "i <-> o & o",
+        "o & i <-> o", "G p & q | r", "p & q -> F r"])
+    def test_top_level_conjunction_beside_a_looser_operator_is_refused(self, text):
+        with pytest.raises(LtlError, match="ambiguous"):
+            parse_ltl(text)
+
+    def test_conjunction_inside_an_invariant_binds_tighter(self):
+        assert parse_ltl("G (o | i & !o)") == [
+            Always(Or(Var("o"), And(Var("i"), Not(Var("o")))))]
+
     def test_parenthesised_conjunction_stays_boolean(self):
         assert parse_ltl("(p & q)") == [StateInit(And(Var("p"), Var("q")))]
 

@@ -124,6 +124,24 @@ class TestNormalizeProblem:
         with pytest.raises(NormalizationError, match="limit of 20"):
             normalize_problem(problem)
 
+    @pytest.mark.parametrize("name", ["false", "true", "F", "GF", "XUG"])
+    def test_proposition_pattern_text_cannot_name_is_refused(self, name):
+        # "G false" would read as the constant, "G F" as two operators
+        problem = SpecProblem(("i",), (name,), (), (ConjunctSource(ltl=f"G {name}"),))
+        with pytest.raises(NormalizationError, match=repr(name)):
+            normalize_problem(problem)
+        problem = SpecProblem(
+            (name,), ("o",), (ConjunctSource(hoa=two_state_hoa(name, Safety())),),
+            (ConjunctSource(ltl="G o"),))
+        with pytest.raises(NormalizationError, match=repr(name)):
+            normalize_problem(problem)
+
+    def test_automaton_conjuncts_may_name_any_proposition(self):
+        problem = SpecProblem(
+            ("false",), ("GF",), (ConjunctSource(hoa=two_state_hoa("false", Safety())),),
+            (ConjunctSource(hoa=two_state_hoa("GF", Safety())),))
+        assert isinstance(synthesize(problem), Realizable)
+
 
 class TestSynthesize:
     def test_arbiter_realizable_and_grants_requests(self):
@@ -241,6 +259,17 @@ class TestSynthesize:
             (ConjunctSource(ltl="GF g"),))
         outcome = synthesize(problem)
         assert isinstance(outcome, Realizable)
+
+    def test_top_level_and_beside_or_is_refused(self):
+        # read as "(o | i) & !o" the guarantee is unrealizable; read by the
+        # grammar's precedence, "o | (i & !o)", it is realizable
+        def problem(text):
+            return SpecProblem(("i",), ("o",), (), (ConjunctSource(ltl=text),))
+
+        with pytest.raises(NormalizationError, match="parenthesise"):
+            synthesize(problem("o | i & !o"))
+        assert isinstance(synthesize(problem("o | (i & !o)")), Realizable)
+        assert isinstance(synthesize(problem("(o | i) & !o")), Unrealizable)
 
     def test_unknown_proposition_is_a_normalization_error(self):
         from rabinsynth.pipeline import NormalizationError
@@ -483,7 +512,7 @@ class TestLetterTables:
         # pattern conditions, HOA guards, and any automaton built from letter sets
         monkeypatch.setattr(boolexpr, "letter_set", no_guards)
         monkeypatch.setattr(ltl, "letter_set", no_guards)
-        monkeypatch.setattr(hoa, "_parse_formula", no_guards)
+        monkeypatch.setattr(hoa, "read_formula", no_guards)
         monkeypatch.setattr(OmegaAutomaton, "from_edges", no_guards)
         pa = build_product(spec)
         assert differential_test(spec, 1, 2, max_aps=4).mismatches == 0
