@@ -137,6 +137,8 @@ def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) 
 
 
 _GUARD_TOKEN = re.compile(r"\d+|\S")
+_STATE_LINE = re.compile(r"(\d+)\s*(?:\{([\d\s]*)\})?")  # after "State:"
+_EDGE_TARGET = re.compile(r"\d+")
 _GUARD_OPERATORS = (("|", or_, "flat"), ("&", and_, "flat"))
 
 
@@ -335,7 +337,7 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
             break
         if line.startswith("State:"):
             rest = line[len("State:"):].strip()
-            m = re.fullmatch(r"(\d+)\s*(?:\{([\d\s]*)\})?", rest)
+            m = _STATE_LINE.fullmatch(rest)
             if not m:
                 raise HoaError(f"bad state line {line!r}", line_no)
             current = int(m.group(1))
@@ -355,7 +357,7 @@ def parse_hoa(text: str) -> tuple[OmegaAutomaton, ApTable]:
             if close < 0:
                 raise HoaError("unterminated guard", line_no)
             target_text = line[close + 1:].strip()
-            if not re.fullmatch(r"\d+", target_text):
+            if not _EDGE_TARGET.fullmatch(target_text):
                 raise HoaError(f"bad edge target {target_text!r}", line_no)
             edges[current].append((read_guard(line[1:close], line_no), int(target_text)))
         else:

@@ -107,7 +107,8 @@ PatternFormula = Union[
 _TEMPORAL = {"G", "F", "X", "U"}
 _TEMPORAL_WORD = re.compile(r"[GFXU]+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[!&|()]|\S")
+_KNOWN_TOKEN = re.compile(_NAME.pattern + r"|<->|->|[!&|()]")
+_TOKEN = re.compile(_KNOWN_TOKEN.pattern + r"|\S")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -115,7 +116,7 @@ def _tokenize(text: str) -> list[str]:
     for tok in _TOKEN.findall(text):
         if _TEMPORAL_WORD.fullmatch(tok):
             tokens.extend(tok)  # allow the compact forms GF / FG
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|<->|->|[!&|()]", tok):
+        elif _KNOWN_TOKEN.fullmatch(tok):
             tokens.append(tok)
         else:
             raise LtlError(f"unexpected character {tok!r}")

@@ -341,8 +341,14 @@ def differential_test(
     every conjunct it no longer tracks reads as failing: one of them has
     failed for good, so the verdict is the same.  Raises
     :class:`CapacityExceeded` beyond ``max_aps`` propositions, or when the
-    lassos number ``2 ** 63`` or more: they are counted in int64.
+    lassos number ``2 ** 63`` or more: they are counted in int64.  Raises
+    :class:`ValueError` for bounds that define no lasso: ``max_stem < 0`` or
+    ``max_loop < 1``.
     """
+    if max_stem < 0 or max_loop < 1:
+        raise ValueError(
+            f"differential bounds need max_stem >= 0 and max_loop >= 1, "
+            f"got {max_stem} and {max_loop}")
     if len(spec.inputs) + len(spec.outputs) > max_aps:
         raise CapacityExceeded(
             f"differential enumeration is limited to {max_aps} propositions")

@@ -22,10 +22,9 @@ slot in its round-robin counter: alive, it accepts at every step.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import compress
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -48,7 +47,7 @@ class CapacityExceeded(Exception):
 
 DEFAULT_STATE_LIMIT = 10_000_000
 _SMALL_CELLS = 4096  # (key, letter) cells below which an array pass costs mostly its overhead
-_SEARCH_CELLS = 4096  # level cells from which binary search beats dict lookups at numbering
+_INT32_MAX = np.iinfo(np.int32).max  # state numbers and level positions are int32
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,9 @@ def build_product(
     dead region wherever a successor component lands in one of its losing
     sinks.  Each counter advances through a table indexed by its value and
     the state of the component it awaits.  A small key space is stepped whole
-    before the search; a large level finds its known keys by binary search.
+    before the search.  States are numbered through one int32 array indexed
+    by key, which costs 4 bytes per key of the key space; it is allocated
+    zeroed, so only the pages that reachable keys fall on become resident.
     """
     table, component_tables = validate_normalized(spec)
     components = spec.components
@@ -312,30 +313,42 @@ def build_product(
         initial_key = live + sum(s * w for s, w in zip(start[:na], weights))
     else:
         initial_key = sum(s * w for s, w in zip(start, weights))
-    index = defaultdict(count().__next__)  # a new key gets the next number
-    index[initial_key]
+    try:  # number[key] is the key's state number + 1; 0: not seen yet
+        number = np.zeros(sink_key + 1, dtype=np.int32)
+    except MemoryError:
+        raise CapacityExceeded(
+            f"product numbering array for key space {sink_key + 1} does not fit in memory"
+        ) from None
+    number[initial_key] = 1
     frontier = np.array([initial_key], dtype=np.int64)
-    targets: list[np.ndarray] = []
+    levels, targets, known = [frontier], [], 1
     step = successors
     if (sink_key + 1) * table.n_letters <= _SMALL_CELLS:  # step every key in one pass
         step = successors(np.arange(sink_key + 1)).__getitem__
-    while len(frontier):
-        # number new keys in (source, letter) order, as a FIFO queue would; in
-        # a large level, the known keys are found by binary search instead
-        cells, known = step(frontier).ravel(), len(index)
-        numbers, new = np.empty(cells.size, dtype=np.int32), slice(None)
-        if cells.size >= _SEARCH_CELLS:
-            numbered = np.fromiter(index, dtype=np.int64, count=known)
-            order = np.argsort(numbered)
-            found = order[np.searchsorted(numbered[order], cells) % known]
-            new = numbered[found] != cells
-            numbers[~new] = found[~new]
-        numbers[new] = np.fromiter(map(index.__getitem__, cells[new].tolist()), dtype=np.int32)
+    while True:
+        # number new keys in (source, letter) order, as a FIFO queue would:
+        # each fresh key is first marked with the position of its first cell
+        cells = step(frontier).ravel()
+        numbers = number[cells]
         targets.append(numbers)
-        frontier = np.fromiter(islice(index, known, None), dtype=np.int64)
+        fresh = np.logical_not(numbers).nonzero()[0]
+        if not fresh.size:
+            break
+        if cells.size > _INT32_MAX or known + fresh.size > _INT32_MAX:
+            raise CapacityExceeded(
+                f"product level of {cells.size} cells after {known} states "
+                "overflows int32 state numbers")
+        fresh_keys, positions = cells[fresh], fresh.astype(np.int32)
+        number[fresh_keys] = _INT32_MAX
+        np.minimum.at(number, fresh_keys, positions)
+        frontier = cells[positions[number[fresh_keys] == positions]]
+        number[frontier] = np.arange(known + 1, known + 1 + frontier.size, dtype=np.int32)
+        known += frontier.size
+        numbers[fresh] = number[fresh_keys]
+        levels.append(frontier)
 
     # colour every state at once; each rule below overrides the ones above it
-    keys = np.fromiter(index, dtype=np.int64, count=len(index))
+    keys = np.concatenate(levels)
     region, digits = key_space.decode(keys)
     marked, in_live = rejecting[np.arange(k), digits[:, :k]], region == LIVE
     colours = (digits[:, k] == 0).astype(np.int64)  # 1: the assumption counter is free
@@ -343,7 +356,7 @@ def build_product(
     colours[in_live & (digits[:, k + 2] == 1) & marked[:, na:].any(1)] = 3  # serviced; rejected
     colours[marked[:, :na].any(1)] = 4  # a co-Buchi assumption component rejects
     colours[region == ASSUMPTION_DEAD] = 0  # an assumption has failed: the System has won
-    transitions = np.concatenate(targets).reshape(len(keys), -1)
+    transitions = (np.concatenate(targets) - 1).reshape(len(keys), -1)  # from numbers + 1
     transitions.flags.writeable = keys.flags.writeable = False
     return ParityAutomaton(table, len(keys), 0, transitions, tuple(colours.tolist()),
                            keys, key_space)

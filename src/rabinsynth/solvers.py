@@ -54,6 +54,8 @@ class _Arena:
     ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` the same, flat: ``degree[v]`` (int32) moves.
     ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the source of every edge
     into ``v`` (``pred_count[v]`` edges), by source vertex and then letter.
+    ``owned[p]`` marks ``p``'s vertices, and ``sign[p]`` is -1 on them and 1
+    elsewhere.
     """
 
     def __init__(self, game: SynthesisGame):
@@ -62,6 +64,8 @@ class _Arena:
         self.n = n = n_env + len(self.succ[SYSTEM])
         self.span = (slice(0, n_env), slice(n_env, n))
         self.owner = np.repeat(np.int8([ENVIRONMENT, SYSTEM]), [n_env, n - n_env])
+        self.owned = (self.owner == ENVIRONMENT, self.owner == SYSTEM)
+        self.sign = tuple(np.where(mine, -1, 1) for mine in self.owned)
         self.colour = np.zeros(n, dtype=np.int8)
         self.colour[:n_env] = game.state_colours
         self.succ_flat = np.concatenate([table.ravel() for table in self.succ])
@@ -79,6 +83,9 @@ class _Arena:
     def successors(self, vertices: np.ndarray, player: int) -> np.ndarray:
         """Move-target rows of vertices that all belong to ``player``."""
         return self.succ[player][vertices - self.span[player].start]
+
+
+_NO_TRIGGER = np.iinfo(np.intp).min  # below every edge key
 
 
 def _attract(arena: _Arena, mask: np.ndarray, degree: np.ndarray, targets: np.ndarray,
@@ -100,14 +107,14 @@ def _attract(arena: _Arena, mask: np.ndarray, degree: np.ndarray, targets: np.nd
     free = mask.copy()  # masked and not attracted yet
     n_masked = np.count_nonzero(mask)
     free[targets] = False
-    mine = arena.owner == player
+    mine = arena.owned[player]
     # edges still needed: one for the player, every masked one for the opponent
     remaining = np.where(mine, np.int32(1), degree)
     # edge keys (below vertices x edges, well inside int64) grow with the
     # target's position, then the pred order; negated for the player, one
     # maximum picks a player vertex's first edge in and an opponent's last
-    sign = np.where(mine, -1, 1)
-    trigger = np.full(n, np.iinfo(np.intp).min)
+    sign = arena.sign[player]
+    trigger = np.full(n, _NO_TRIGGER)
     found = len(targets)
     level = targets
     while level.size and found < n_masked:
@@ -262,7 +269,7 @@ def certify_strategy(
         ("environment", ENVIRONMENT, ~in_system, solution.env_strategy, 0),
     )
     for claim, player, inside, strategy, _ in claims:
-        if set(strategy) != set(np.flatnonzero(inside & (arena.owner == player)).tolist()):
+        if set(strategy) != set(np.flatnonzero(inside & arena.owned[player]).tolist()):
             raise ShapeError(f"{claim} strategy domain must be its winning "
                              f"{claim.capitalize()} vertices")
     # the graph searches read the arena's arrays as flat Python lists

@@ -173,6 +173,14 @@ class TestOracleTest:
         assert run(["oracle-test", corpus("gf_arbiter.json"), "--max-stem", "40"]) == 2
         assert "2**63" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", [
+        ["--max-loop", "-1"], ["--max-loop", "0"], ["--max-stem", "-1"]])
+    def test_bounds_that_define_no_lasso_exit_two(self, capsys, bound):
+        assert run(["oracle-test", corpus("arbiter.json"), *bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_stem >= 0 and max_loop >= 1" in captured.err
+
     def test_wide_alphabet_needs_flag(self, capsys):
         assert run(["oracle-test", corpus("robust_mutex.json")]) == 2
         assert run(["oracle-test", corpus("robust_mutex.json"),

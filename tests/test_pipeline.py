@@ -560,6 +560,21 @@ class TestDifferential:
         with pytest.raises(CapacityExceeded):
             differential_test(gf_spec(), 31, 1)
 
+    @pytest.mark.parametrize("max_stem, max_loop", [(-1, 3), (2, 0), (2, -1), (-5, -5)])
+    def test_bounds_that_define_no_lasso_are_refused(self, monkeypatch, max_stem, max_loop):
+        from rabinsynth import pipeline
+
+        def no_product(spec):
+            raise AssertionError("the product was built")
+
+        monkeypatch.setattr(pipeline, "build_product", no_product)
+        with pytest.raises(ValueError, match="max_stem >= 0 and max_loop >= 1"):
+            differential_test(gf_spec(), max_stem, max_loop)
+
+    def test_smallest_bounds_check_the_one_letter_loops(self):
+        report = differential_test(gf_spec(), 0, 1)
+        assert (report.checked, report.mismatches) == (4, 0)
+
     def test_alphabet_guard(self):
         spec = NormalizedSpec(("a", "b"), ("c", "d"), (), (), (), ())
         with pytest.raises(CapacityExceeded):

@@ -13,6 +13,7 @@ from rabinsynth.automata import (
     eval_lasso,
     validate,
 )
+from rabinsynth import product
 from rabinsynth.boolexpr import ApTable, Not, Var
 from rabinsynth.ltl import Persistence, Recurrence, compile_pattern, parse_ltl
 from rabinsynth.product import (
@@ -277,6 +278,64 @@ class TestReferenceProduct:
             self.assert_matches_reference(
                 random_normalized_spec(rng) if i % 3 else random_normalized_spec(
                     rng, max_conjuncts_per_side=3, max_component_states=4))
+
+
+class TestNumbering:
+    """States are numbered in breadth-first discovery order, checked on the
+    array alone, so it also reaches products too large for the reference."""
+
+    def assert_numbered_in_discovery_order(self, pa):
+        # reading row-major with state 0 seen, each state first appears as
+        # one more than the largest seen so far
+        cells = np.concatenate([[0], pa.transitions.ravel()])
+        largest_seen = np.maximum.accumulate(cells)[:-1]
+        assert (cells[1:] >= 0).all() and (cells[1:] <= largest_seen + 1).all()
+        assert cells.max() == pa.n_states - 1 == len(pa.keys) - 1
+        assert len(np.unique(pa.keys)) == pa.n_states
+        assert not pa.transitions.flags.writeable and not pa.keys.flags.writeable
+
+    @pytest.mark.parametrize("n, unrealizable, states", [
+        (2, False, 218), (2, True, 254), (3, False, 1425), (3, True, 1635),
+        (4, False, 7932), (4, True, 8964)])
+    def test_arbiters(self, n, unrealizable, states):
+        pa = build_product(normalize_problem(arbiter_problem(n, unrealizable=unrealizable)))
+        assert pa.n_states == states
+        self.assert_numbered_in_discovery_order(pa)
+
+    def test_random_specs(self):
+        # every third spec is larger; some of those step level by level
+        rng = random.Random(2020)
+        level_stepped = 0
+        for i in range(300):
+            spec = random_normalized_spec(rng) if i % 3 else random_normalized_spec(
+                rng, max_conjuncts_per_side=3, max_component_states=4)
+            pa = build_product(spec)
+            self.assert_numbered_in_discovery_order(pa)
+            key_space = int(pa.key_space.bases[-1]) + 1
+            level_stepped += key_space * pa.table.n_letters > product._SMALL_CELLS
+        assert level_stepped >= 10
+
+    def test_numbering_array_that_does_not_fit_is_refused(self, monkeypatch):
+        spec = normalize_problem(arbiter_problem(2))
+        key_space = int(build_product(spec).key_space.bases[-1]) + 1
+        zeros = np.zeros
+
+        def no_memory_for_the_key_space(shape, *args, **kwargs):
+            if shape == key_space:
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", no_memory_for_the_key_space)
+        with pytest.raises(CapacityExceeded, match=f"numbering array for key space {key_space}"):
+            build_product(spec)
+
+    def test_numbers_beyond_the_array_dtype_are_refused(self, monkeypatch):
+        # a level whose positions or numbers pass the dtype's maximum raises
+        # rather than wraps; the maximum is lowered here to reach it
+        spec = normalize_problem(arbiter_problem(2))
+        monkeypatch.setattr(product, "_INT32_MAX", 100)
+        with pytest.raises(CapacityExceeded, match="overflows int32 state numbers"):
+            build_product(spec)
 
 
 def ltl_problem(inputs, outputs, assumptions, guarantees) -> SpecProblem:
