@@ -130,7 +130,7 @@ def run_solver_cross_check(args) -> int:
         for i in range(count):
             game = random_game(rng, max_states=max_states)
             solution = solve_zielonka(game)
-            if solve_progress_measures(game) != solution.system_region:
+            if solve_progress_measures(game) != frozenset(solution.system_region.tolist()):
                 disagreements += 1
                 print(f"  game {i} (<= {max_states} states): winning regions disagree")
             elif certify_strategy(game, solution) is not None:

@@ -1,8 +1,29 @@
-"""Small graph helpers shared by the strategy certifier and the machine verifier."""
+"""Small graph helpers shared by machine extraction, minimisation, the
+strategy certifier and the machine verifier."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+
+def breadth_first(start, successors: Callable[[Any], Iterable]) -> tuple[list, list[list[int]]]:
+    """The vertices reachable from ``start``, numbered in breadth-first
+    discovery order: ``order[i]`` is vertex number ``i`` (``start`` is 0) and
+    ``rows[i]`` the numbers of its successors, in the order and with the
+    repeats that ``successors`` gives them."""
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for v in order:
+        row = []
+        for w in successors(v):
+            i = index.get(w)
+            if i is None:
+                i = index[w] = len(order)
+                order.append(w)
+            row.append(i)
+        rows.append(row)
+    return order, rows
 
 
 def strongly_connected_components(

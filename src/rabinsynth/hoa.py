@@ -23,6 +23,7 @@ Recognised acceptance names and their canonical ``Acceptance:`` lines:
 
 from __future__ import annotations
 
+import functools
 import re
 from operator import and_, or_
 
@@ -114,6 +115,14 @@ def _parse_acc_formula(text: str, line: int):
                        lambda _: fail("unexpected token '!'"), fail)
 
 
+@functools.lru_cache
+def _canonical_formula(acc_name: str, n_sets: int):
+    """The canonical acceptance formula of ``acc_name`` over ``n_sets`` sets,
+    parsed once per pair."""
+    return _parse_acc_formula(_parity_max_even_formula(n_sets) if acc_name == "parity"
+                              else _CANONICAL_ACCEPTANCE[acc_name][1], None)
+
+
 def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) -> None:
     mismatch = HoaError(
         f"acceptance formula {formula!r} does not match acc-name {acc_name!r}", line)
@@ -121,14 +130,13 @@ def _check_acceptance_line(acc_name: str, n_sets: int, formula: str, line: int) 
         # the canonical formula names each set once: count before writing it out
         if len(re.findall(r"Fin|Inf", formula)) != n_sets:
             raise mismatch
-        expected = _parity_max_even_formula(n_sets)
     else:
-        expected_sets, expected = _CANONICAL_ACCEPTANCE[acc_name]
+        expected_sets = _CANONICAL_ACCEPTANCE[acc_name][0]
         if n_sets != expected_sets:
             raise HoaError(
                 f"acceptance declares {n_sets} sets, {acc_name} uses {expected_sets}",
                 line)
-    if _parse_acc_formula(formula, line) != _parse_acc_formula(expected, line):
+    if _parse_acc_formula(formula, line) != _canonical_formula(acc_name, n_sets):
         raise mismatch
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .boolexpr import ApTable
+from .graphs import breadth_first
 
 
 @dataclass(frozen=True)
@@ -52,26 +53,16 @@ def minimise(machine: MealyMachine) -> MealyMachine:
             break
         block, count = refined, refined_count
 
-    member = dict(zip(block, range(len(block))))  # one state of each block
-    index = {block[machine.initial]: 0}
-    order = [block[machine.initial]]
-    rows = []
-    for b in order:
-        targets, outputs = columns[member[b]]
-        row = []
-        for t, y in zip(targets, outputs):
-            target = index.get(block[t])
-            if target is None:
-                target = index[block[t]] = len(order)
-                order.append(block[t])
-            row.append((target, y))
-        rows.append(tuple(row))
+    # one state of each block, with its successor and output columns
+    member = dict(zip(block, columns))
+    order, rows = breadth_first(
+        block[machine.initial], lambda b: [block[t] for t in member[b][0]])
     return MealyMachine(
         inputs=machine.inputs,
         outputs=machine.outputs,
         n_states=len(order),
         initial=0,
-        transitions=tuple(rows),
+        transitions=tuple(tuple(zip(row, member[b][1])) for b, row in zip(order, rows)),
     )
 
 

@@ -21,11 +21,11 @@ import numpy as np
 from .automata import (
     Buchi, Lasso, OmegaAutomaton, Parity, accepts_inf, eval_lasso, infinity_set)
 from .boolexpr import ApTable, free_names
-from .game import SynthesisGame, build_game
+from .game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
 from .hoa import parse_hoa
 from .ltl import compile_pattern, normalize, parse_ltl, unnameable
 from .mealy import MealyMachine, minimise
-from .graphs import find_max_colour_cycle
+from .graphs import breadth_first, find_max_colour_cycle
 from .product import (
     CapacityExceeded,
     NormalizedSpec,
@@ -173,32 +173,20 @@ def extract_mealy(game: SynthesisGame, solution: Solution) -> MealyMachine:
     """The minimal machine of the System strategy on its reachable winning
     slice: the slice is read off the strategy and the game's transition
     array, then minimised."""
-    if game.initial not in solution.system_region:
+    if solution.winner[game.initial] != SYSTEM:
         raise NotRealizable("initial vertex is not winning for the System")
-    strategy = solution.system_strategy
-    transitions = game.transitions
     bits = game.input_bits
-    index = {game.initial: 0}
-    order = [game.initial]
-    rows: list[tuple[tuple[int, int], ...]] = []
-    for q in order:
-        middle = game.n_states + (q << bits)  # the System vertex of input 0
-        row = []
-        for x in range(game.n_inputs):
-            y = strategy[middle + x]
-            target_vertex = transitions.item(q, x | y << bits)
-            target = index.get(target_vertex)
-            if target is None:
-                target = index[target_vertex] = len(order)
-                order.append(target_vertex)
-            row.append((target, y))
-        rows.append(tuple(row))
+    # row q: the System's output at state q by input, -1 where the System
+    # loses q; the walk never leaves the System region, so it reads no -1
+    outputs = solution.strategy[SYSTEM, game.n_states:].reshape(game.n_states, game.n_inputs)
+    order, rows = breadth_first(game.initial, lambda q: [
+        game.transitions.item(q, x | y << bits) for x, y in enumerate(outputs[q].tolist())])
     return minimise(MealyMachine(
         inputs=game.table.names[:bits],
         outputs=game.table.names[bits:],
         n_states=len(order),
         initial=0,
-        transitions=tuple(rows),
+        transitions=tuple(tuple(zip(row, ys)) for row, ys in zip(rows, outputs[order].tolist())),
     ))
 
 
@@ -219,51 +207,36 @@ def verify_mealy(machine: MealyMachine, pa: ParityAutomaton) -> Violation | None
             "machine propositions do not match the specification alphabet")
     input_bits = len(machine.inputs)
 
-    start = (machine.initial, pa.initial)
-    index = {start: 0}
-    order = [start]
-    parents = [(0, 0)]  # breadth-first tree: (parent node, letter); root unused
-    edges: list[list[tuple[int, int]]] = []  # node -> [(letter, node)]
-    for m, q in order:
-        row = []
-        for x in range(1 << input_bits):
-            m2, y = machine.transitions[m][x]
-            letter = x | y << input_bits
-            node = (m2, pa.transitions.item(q, letter))
-            target = index.get(node)
-            if target is None:
-                target = index[node] = len(order)
-                order.append(node)
-                parents.append((len(edges), letter))
-            row.append((letter, target))
-        edges.append(row)
+    def step(node: tuple[int, int]) -> list[tuple[int, int]]:
+        m, q = node
+        return [(m2, pa.transitions.item(q, x | y << input_bits))
+                for x, (m2, y) in enumerate(machine.transitions[m])]
 
+    # node i is the pair order[i]; its input x leads to node rows[i][x]
+    order, rows = breadth_first((machine.initial, pa.initial), step)
     found = find_max_colour_cycle(
-        range(len(order)), lambda v: [t for _, t in edges[v]],
-        lambda v: pa.colours[order[v][1]], (1, 3))
-    return None if found is None else Violation(
-        _witness_lasso(edges, parents, found[1]))
+        range(len(order)), rows.__getitem__, lambda v: pa.colours[order[v][1]], (1, 3))
+    if found is None:
+        return None
+    cycle = found[1]
 
+    def letter(v: int, x: int) -> int:
+        return x | machine.transitions[order[v][0]][x][1] << input_bits
 
-def _witness_lasso(
-    edges: list[list[tuple[int, int]]],
-    parents: list[tuple[int, int]],
-    cycle: list[int],
-) -> Lasso:
-    # stem: the breadth-first tree path from the initial node to the cycle entry
-    stem_letters: list[int] = []
+    # stem: the breadth-first tree path from the initial node to the cycle
+    # entry; each node was discovered by its first occurrence in the rows
+    discovered: dict[int, tuple[int, int]] = {}
+    for v, row in enumerate(rows):
+        for x, t in enumerate(row):
+            discovered.setdefault(t, (v, x))
+    stem: list[int] = []
     cursor = cycle[0]
     while cursor != 0:
-        cursor, letter = parents[cursor]
-        stem_letters.append(letter)
-    stem_letters.reverse()
-
-    loop_letters = []
-    for i, v in enumerate(cycle):
-        succ = cycle[(i + 1) % len(cycle)]
-        letter = next(l for l, t in edges[v] if t == succ)
-        loop_letters.append(letter)
-    return Lasso(tuple(stem_letters), tuple(loop_letters))
+        cursor, x = discovered[cursor]
+        stem.append(letter(cursor, x))
+    loop = [letter(v, rows[v].index(cycle[(i + 1) % len(cycle)]))
+            for i, v in enumerate(cycle)]
+    return Violation(Lasso(tuple(reversed(stem)), tuple(loop)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +409,11 @@ def _reachable_counterstrategy(
     game: SynthesisGame,
     solution: Solution,
 ) -> dict[int, int]:
-    moves: dict[int, int] = {}
-    stack = [game.initial]
-    while stack:
-        v = stack.pop()
-        if v not in moves:
-            moves[v] = letter = solution.env_strategy[v]
-            # the letters with input ``letter`` are every n_inputs-th from it
-            stack.extend(game.transitions[v, letter::game.n_inputs].tolist())
-    return dict(sorted(moves.items()))
+    strategy = solution.strategy[ENVIRONMENT]
+    # the letters with the strategy's input are every n_inputs-th from it
+    reached = sorted(breadth_first(game.initial, lambda q: game.transitions[
+        q, strategy[q]::game.n_inputs].tolist())[0])
+    return dict(zip(reached, strategy[reached].tolist()))
 
 
 def _constant_machine(spec: NormalizedSpec) -> MealyMachine:
@@ -482,7 +451,7 @@ def synthesize(problem: SpecProblem | NormalizedSpec) -> SynthesisOutcome:
             solve_seconds=solve_seconds,
         )
 
-    if game.initial not in solution.system_region:
+    if solution.winner[game.initial] != SYSTEM:
         return Unrealizable(
             counterstrategy=_reachable_counterstrategy(game, solution),
             initial_vertex=game.initial,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -25,19 +24,34 @@ class ShapeError(Exception):
     """A solution object violates the structural strategy contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
-    """Winning regions plus positional strategies on the winning sides.
+    """Winning regions plus positional strategies on the winning sides, as
+    two read-only arrays over the game's vertices.
 
-    ``system_strategy`` maps every System vertex inside ``system_region`` to
-    an output letter; ``env_strategy`` maps every Environment vertex inside
-    ``env_region`` to an input letter.
+    ``winner[v]`` (int8) is the player who wins from vertex ``v``.
+    ``strategy[p, v]`` (shape ``(2, n_vertices)``) is the move letter of
+    player ``p`` at each of ``p``'s vertices in ``p``'s region, and -1 at
+    every other vertex.  ``system_region`` and ``env_region`` list the ids
+    of the vertices each player wins, ascending.
     """
 
-    system_region: frozenset[int]
-    env_region: frozenset[int]
-    system_strategy: Mapping[int, int]
-    env_strategy: Mapping[int, int]
+    winner: np.ndarray
+    strategy: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("winner", np.int8), ("strategy", np.intp)):
+            array = np.asarray(getattr(self, name), dtype=dtype).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def system_region(self) -> np.ndarray:
+        return (self.winner == SYSTEM).nonzero()[0]
+
+    @property
+    def env_region(self) -> np.ndarray:
+        return (self.winner == ENVIRONMENT).nonzero()[0]
 
 
 @dataclass(frozen=True)
@@ -49,9 +63,11 @@ class StrategyCounterexample:
 
 class _Arena:
     """The game as integer arrays.  Player ``p`` owns the vertices in
-    ``span[p]``, Environment vertices first; ``succ[p][v - span[p].start]``
-    holds the move targets of its vertex ``v`` by letter, and
-    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` the same, flat: ``degree[v]`` (int32) moves.
+    ``span[p]``, Environment vertices first.
+    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` holds the move targets of
+    vertex ``v`` by letter, ``degree[v]`` (int32) moves; ``succ[p]`` views
+    the same storage as a table, ``succ[p][v - span[p].start]`` the row of
+    ``p``'s vertex ``v``.
     ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the source of every edge
     into ``v`` (``pred_count[v]`` edges), by source vertex and then letter.
     ``owned[p]`` marks ``p``'s vertices, and ``sign[p]`` is -1 on them and 1
@@ -59,17 +75,20 @@ class _Arena:
     """
 
     def __init__(self, game: SynthesisGame):
-        self.succ = game.successor_tables()  # indexed by player
-        self.n_env = n_env = len(self.succ[ENVIRONMENT])
-        self.n = n = n_env + len(self.succ[SYSTEM])
+        tables = game.successor_tables()  # indexed by player
+        self.n_env = n_env = len(tables[ENVIRONMENT])
+        self.n = n = n_env + len(tables[SYSTEM])
         self.span = (slice(0, n_env), slice(n_env, n))
         self.owner = np.repeat(np.int8([ENVIRONMENT, SYSTEM]), [n_env, n - n_env])
         self.owned = (self.owner == ENVIRONMENT, self.owner == SYSTEM)
         self.sign = tuple(np.where(mine, -1, 1) for mine in self.owned)
         self.colour = np.zeros(n, dtype=np.int8)
         self.colour[:n_env] = game.state_colours
-        self.succ_flat = np.concatenate([table.ravel() for table in self.succ])
-        self.degree = np.repeat(np.int32([t.shape[1] for t in self.succ]), [n_env, n - n_env])
+        self.succ_flat = np.concatenate([table.ravel() for table in tables])
+        split = tables[ENVIRONMENT].size
+        self.succ = (self.succ_flat[:split].reshape(tables[ENVIRONMENT].shape),
+                     self.succ_flat[split:].reshape(tables[SYSTEM].shape))
+        self.degree = np.repeat(np.int32([t.shape[1] for t in tables]), [n_env, n - n_env])
         self.succ_ptr = np.concatenate([[0], self.degree.cumsum()])
         # one in-place sort of (target, source) keys: equal keys differ only
         # in the letter, so each target lists its sources in succ_flat order
@@ -139,7 +158,7 @@ def _attract(arena: _Arena, mask: np.ndarray, degree: np.ndarray, targets: np.nd
         found += level.size
 
     attracted = mask & ~free
-    own = np.flatnonzero(attracted & mine & (position >= len(targets)))
+    own = (attracted & mine & (position >= len(targets))).nonzero()[0]
     ahead = position[arena.successors(own, player)] < position[own, None]
     # outside it, an opponent vertex lost one count per edge into it; a player one has none
     return attracted, own, ahead.argmax(axis=1), np.where(mine, degree, remaining)
@@ -157,12 +176,12 @@ def _solve(arena: _Arena, mask: np.ndarray, degree: np.ndarray, region: np.ndarr
     top_colour = arena.colour[mask].max()
     winner = SYSTEM if top_colour % 2 == 0 else ENVIRONMENT
     opponent = 1 - winner
-    top = np.flatnonzero(mask & (arena.colour == top_colour))
+    top = (mask & (arena.colour == top_colour)).nonzero()[0]
 
     attr, attr_vertices, attr_letters, subdegree = _attract(arena, mask, degree, top, winner)
     submask = mask & ~attr
     _solve(arena, submask, subdegree, region, strategy)
-    lost = np.flatnonzero(submask & (region == opponent))
+    lost = (submask & (region == opponent)).nonzero()[0]
 
     if not lost.size:
         # the whole remaining game belongs to the owner of the top colour
@@ -183,20 +202,10 @@ def _solve(arena: _Arena, mask: np.ndarray, degree: np.ndarray, region: np.ndarr
 def solve_zielonka(game: SynthesisGame) -> Solution:
     """Exact winning regions and positional strategies for both players."""
     arena = _Arena(game)
-    region = np.zeros(arena.n, dtype=np.int8)
+    winner = np.zeros(arena.n, dtype=np.int8)
     strategy = np.full((2, arena.n), -1, dtype=np.intp)
-    _solve(arena, np.ones(arena.n, dtype=bool), arena.degree, region, strategy)
-
-    def moves(player: int) -> dict[int, int]:
-        vertices = np.flatnonzero(strategy[player] >= 0)
-        return dict(zip(vertices.tolist(), strategy[player, vertices].tolist()))
-
-    return Solution(
-        system_region=frozenset(np.flatnonzero(region == SYSTEM).tolist()),
-        env_region=frozenset(np.flatnonzero(region == ENVIRONMENT).tolist()),
-        system_strategy=moves(SYSTEM),
-        env_strategy=moves(ENVIRONMENT),
-    )
+    _solve(arena, np.ones(arena.n, dtype=bool), arena.degree, winner, strategy)
+    return Solution(winner, strategy)
 
 
 def solve_progress_measures(game: SynthesisGame) -> frozenset[int]:
@@ -253,40 +262,41 @@ def certify_strategy(
     free, and searches for a cycle won by the opponent (odd maximum colour
     inside the System region, even maximum colour inside the Environment
     region).  Returns ``None`` when both claims hold.  Structural problems
-    (wrong strategy domain, choices leaving the owning region) raise
-    :class:`ShapeError`.
+    (arrays that do not fit the game, wrong strategy domain, choices
+    leaving the owning region) raise :class:`ShapeError`.
     """
     arena = _Arena(game)
     n = arena.n
-    if solution.system_region | solution.env_region != frozenset(range(n)):
-        raise ShapeError("regions do not cover the game")
-    if solution.system_region & solution.env_region:
-        raise ShapeError("regions overlap")
-    in_system = np.isin(np.arange(n), list(solution.system_region))
+    winner, strategy = solution.winner, solution.strategy
+    if winner.shape != (n,) or strategy.shape != (2, n) or (winner >> 1).any():
+        raise ShapeError("solution arrays must give a player and two moves per vertex")
+    in_system = winner == SYSTEM
 
-    claims = (
-        ("system", SYSTEM, in_system, solution.system_strategy, 1),
-        ("environment", ENVIRONMENT, ~in_system, solution.env_strategy, 0),
-    )
-    for claim, player, inside, strategy, _ in claims:
-        if set(strategy) != set(np.flatnonzero(inside & arena.owned[player]).tolist()):
+    # a cycle of the player's parity (odd for the System) defeats their claim
+    claims = (("system", SYSTEM, in_system), ("environment", ENVIRONMENT, ~in_system))
+    for claim, player, inside in claims:
+        if not np.array_equal(strategy[player] >= 0, inside & arena.owned[player]):
             raise ShapeError(f"{claim} strategy domain must be its winning "
                              f"{claim.capitalize()} vertices")
+        vertices = (strategy[player] >= 0).nonzero()[0]
+        letters = strategy[player, vertices]
+        fits = letters < arena.succ[player].shape[1]
+        targets = arena.succ_flat[arena.succ_ptr[vertices] + np.where(fits, letters, 0)]
+        leaving = vertices[~fits | ~inside[targets]]
+        if leaving.size:
+            raise ShapeError(f"{claim} strategy leaves its region at vertex {leaving[0]}")
+
     # the graph searches read the arena's arrays as flat Python lists
     colour, succ, succ_ptr = (a.tolist() for a in (
         arena.colour, arena.succ_flat, arena.succ_ptr))
-    for claim, player, inside, strategy, _ in claims:
-        width = arena.succ[player].shape[1]
-        for v, letter in strategy.items():
-            if not 0 <= letter < width or not inside[succ[succ_ptr[v] + letter]]:
-                raise ShapeError(f"{claim} strategy leaves its region at vertex {v}")
+    for claim, player, inside in claims:
+        moves = strategy[player].tolist()
 
-    for claim, _, inside, strategy, bad_parity in claims:
         def restricted(v: int) -> list[int]:
-            moves = succ[succ_ptr[v]:succ_ptr[v + 1]]
-            return [moves[strategy[v]]] if v in strategy else moves
+            targets = succ[succ_ptr[v]:succ_ptr[v + 1]]
+            return [targets[moves[v]]] if moves[v] >= 0 else targets
 
-        members = np.flatnonzero(inside).tolist()
+        members = inside.nonzero()[0].tolist()
         for v in members:
             for t in restricted(v):
                 if not inside[t]:
@@ -294,7 +304,7 @@ def certify_strategy(
                         claim, (v, t), "region is not closed under the opponent")
 
         found = find_max_colour_cycle(
-            members, restricted, colour.__getitem__, range(bad_parity, 5, 2))
+            members, restricted, colour.__getitem__, range(player, 5, 2))
         if found is not None:
             d, cycle = found
             return StrategyCounterexample(

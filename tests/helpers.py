@@ -18,6 +18,8 @@ import json
 import random
 from collections import deque
 
+import numpy as np
+
 from rabinsynth.automata import (
     Buchi,
     CoBuchi,
@@ -380,12 +382,18 @@ def reference_zielonka(game: SynthesisGame) -> Solution:
         return wins, strategies
 
     wins, strategies = solve([True] * n, n)
-    return Solution(
-        system_region=frozenset(wins[SYSTEM]),
-        env_region=frozenset(wins[ENVIRONMENT]),
-        system_strategy=dict(sorted(strategies[SYSTEM].items())),
-        env_strategy=dict(sorted(strategies[ENVIRONMENT].items())),
-    )
+    winner = np.full(n, ENVIRONMENT, dtype=np.int8)
+    winner[sorted(wins[SYSTEM])] = SYSTEM
+    strategy = np.full((2, n), -1, dtype=np.intp)
+    for player, moves in enumerate(strategies):
+        strategy[player, list(moves)] = list(moves.values())
+    return Solution(winner, strategy)
+
+
+def same_solution(a: Solution, b: Solution) -> bool:
+    """Equal winners and equal strategies."""
+    return (np.array_equal(a.winner, b.winner)
+            and np.array_equal(a.strategy, b.strategy))
 
 
 def random_machine(

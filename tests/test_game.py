@@ -1,5 +1,7 @@
 import random
 
+import numpy as np
+
 from rabinsynth.automata import Lasso
 from rabinsynth.boolexpr import ApTable
 from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
@@ -109,8 +111,8 @@ class TestSolvedExamples:
             n_states=1, transitions=((0, 0, 0, 0),),
             state_colours=(2,), initial=0)
         solution = solve_zielonka(game)
-        assert solution.system_region == frozenset(range(game.n_vertices))
-        assert solve_progress_measures(game) == solution.system_region
+        assert np.array_equal(solution.system_region, np.arange(game.n_vertices))
+        assert solve_progress_measures(game) == frozenset(range(game.n_vertices))
 
     def test_invariant_on_input_is_lost(self):
         # guarantee G r with r an input: the environment forces the failure sink
@@ -121,8 +123,8 @@ class TestSolvedExamples:
         pa = build_product(spec)
         game = build_game(pa, spec.inputs, spec.outputs)
         solution = solve_zielonka(game)
-        assert game.initial in solution.env_region
-        assert solve_progress_measures(game) == solution.system_region
+        assert solution.winner[game.initial] == ENVIRONMENT
+        assert solve_progress_measures(game) == frozenset(solution.system_region.tolist())
         # the winning move at the initial vertex keeps r false
-        letter = solution.env_strategy[game.initial]
+        letter = solution.strategy[ENVIRONMENT, game.initial]
         assert not letter & 1

@@ -12,6 +12,7 @@ from rabinsynth.automata import (
     Safety,
     ValidationError,
 )
+from rabinsynth import hoa
 from rabinsynth.boolexpr import And, ApTable, Lit, Not, Or, Var
 from rabinsynth.hoa import (
     MAX_GUARD_DEPTH,
@@ -269,6 +270,19 @@ class TestAcceptanceSpellings:
         with pytest.raises(HoaError) as err:
             parse_hoa(with_acceptance(acc_name, n_sets, formula))
         assert err.value.line == 6
+
+    def test_canonical_formula_is_parsed_once_per_name_and_set_count(self, monkeypatch):
+        parsed = []
+        parse = hoa._parse_acc_formula
+        monkeypatch.setattr(hoa, "_parse_acc_formula",
+                            lambda text, line: parsed.append(text) or parse(text, line))
+        hoa._canonical_formula.cache_clear()
+        documents = [("Buchi", 1, "Inf(0)"), ("parity max even 3", 3, "Inf(2) | Fin(1) & Inf(0)")]
+        for _ in range(3):
+            for acc_name, n_sets, formula in documents:
+                parse_hoa(with_acceptance(acc_name, n_sets, formula))
+        # each document's own formula, plus each canonical formula once
+        assert len(parsed) == 3 * len(documents) + len(documents)
 
 
 def hoa_guard(expr, table: ApTable, rng: random.Random, context: int = 0) -> str:

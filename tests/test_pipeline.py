@@ -8,7 +8,7 @@ import pytest
 from rabinsynth.automata import (
     Buchi, Lasso, OmegaAutomaton, OnePairRabin, Safety, decompose_rabin, eval_lasso)
 from rabinsynth.boolexpr import ApTable, Lit, Not, Var
-from rabinsynth.game import build_game
+from rabinsynth.game import ENVIRONMENT, SYSTEM, build_game
 from rabinsynth.hoa import emit_hoa, parse_hoa
 from rabinsynth.ltl import compile_pattern, parse_ltl
 from rabinsynth.mealy import (
@@ -198,7 +198,7 @@ class TestSynthesize:
             solution = solve_zielonka(game)
             outcome = synthesize(problem)
             assert isinstance(outcome, Realizable) == (
-                game.initial in solution.system_region)
+                solution.winner[game.initial] == SYSTEM)
 
     def test_counterstrategy_is_the_reachable_slice(self):
         problem = load_problem("unrealizable_gr.json")
@@ -208,7 +208,7 @@ class TestSynthesize:
         solution = solve_zielonka(game)
         outcome = synthesize(problem)
         for v in outcome.counterstrategy:
-            assert v in solution.env_region
+            assert solution.winner[v] == ENVIRONMENT
             assert v < game.n_states  # environment vertices only
 
     def test_zero_guarantees_gives_constant_machine(self):
@@ -247,9 +247,9 @@ class TestSynthesize:
             game = build_game(pa, spec.inputs, spec.outputs)
             solution = solve_zielonka(game)
             region = solve_progress_measures(game)
-            assert region == solution.system_region, name
+            assert region == frozenset(solution.system_region.tolist()), name
             assert (game.initial in region) == (
-                game.initial in solution.system_region)
+                solution.winner[game.initial] == SYSTEM)
 
     def test_inline_hoa_conjunct(self):
         hoa_text = (CORPUS / "gf_r.hoa").read_text(encoding="utf-8")
@@ -449,6 +449,45 @@ class TestVerify:
             transitions=(((0, 0), (0, 0)),))
         with pytest.raises(IncompatibleAlphabets):
             verify_mealy(machine, self.arbiter_product())
+
+    def test_witnesses_of_mutated_machines_are_violating_runs(self):
+        """Each synthesized machine with one transition redirected or one
+        output changed: every witness found is a run of the mutated machine
+        that the oracle and the product both reject."""
+        rng = random.Random(20_261_020)
+        problems = [load_problem(name) for name in REALIZABLE_CORPUS]
+        problems += [arbiter_problem(n) for n in (2, 3)]
+        violations = 0
+        for problem in problems:
+            spec = normalize_problem(problem)
+            pa = build_product(spec)
+            machine = synthesize(spec).machine
+            bits = len(machine.inputs)
+            for _ in range(40):
+                rows = [list(row) for row in machine.transitions]
+                s, x = rng.randrange(machine.n_states), rng.randrange(1 << bits)
+                target, y = rows[s][x]
+                rows[s][x] = ((rng.randrange(machine.n_states), y) if rng.random() < 0.5
+                              else (target, rng.randrange(1 << len(machine.outputs))))
+                mutated = dataclasses.replace(
+                    machine, transitions=tuple(tuple(row) for row in rows))
+                violation = verify_mealy(mutated, pa)
+                if violation is None:
+                    continue
+                violations += 1
+                lasso = violation.lasso
+                assert not lasso_oracle(spec, lasso)
+                assert not product_accepts(pa, lasso)
+                # the machine emits every output of the word, and its state
+                # comes back to where the loop started
+                state = mutated.initial
+                for i, letter in enumerate(lasso.stem + lasso.loop):
+                    if i == len(lasso.stem):
+                        loop_start = state
+                    state, y = mutated.transitions[state][letter & (1 << bits) - 1]
+                    assert y == letter >> bits
+                assert state == loop_start
+        assert violations >= 40
 
 
 class TestLassoOracle:

@@ -20,7 +20,7 @@ from rabinsynth.solvers import (
     solve_zielonka,
 )
 
-from helpers import env_move, owner, reference_zielonka, system_move
+from helpers import env_move, owner, reference_zielonka, same_solution, system_move
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE = ApTable(("r", "g"))
@@ -37,22 +37,22 @@ class TestTrivialGames:
     def test_even_self_loop(self):
         game = loop_game(0)
         solution = solve_zielonka(game)
-        assert solution.system_region == frozenset(range(game.n_vertices))
-        assert solution.env_region == frozenset()
+        assert np.array_equal(solution.system_region, np.arange(game.n_vertices))
+        assert solution.env_region.size == 0
         assert certify_strategy(game, solution) is None
 
     def test_odd_self_loop(self):
         game = loop_game(1)
         solution = solve_zielonka(game)
-        assert solution.env_region == frozenset(range(game.n_vertices))
-        assert solution.system_region == frozenset()
+        assert np.array_equal(solution.env_region, np.arange(game.n_vertices))
+        assert solution.system_region.size == 0
         assert certify_strategy(game, solution) is None
 
     def test_progress_measures_agree_on_loops(self):
         for colour in range(5):
             game = loop_game(colour)
             expected = solve_zielonka(game).system_region
-            assert solve_progress_measures(game) == expected
+            assert solve_progress_measures(game) == frozenset(expected.tolist())
 
 
 class TestRandomDifferential:
@@ -61,10 +61,11 @@ class TestRandomDifferential:
         for _ in range(300):
             game = random_game(rng, max_states=20)
             solution = solve_zielonka(game)
-            vertices = frozenset(range(game.n_vertices))
-            assert solution.system_region | solution.env_region == vertices
-            assert not solution.system_region & solution.env_region
-            assert solve_progress_measures(game) == solution.system_region
+            # the two regions partition the vertices
+            regions = np.concatenate([solution.system_region, solution.env_region])
+            assert np.array_equal(np.sort(regions), np.arange(game.n_vertices))
+            assert solve_progress_measures(game) == frozenset(
+                solution.system_region.tolist())
             assert certify_strategy(game, solution) is None
 
     def test_solving_is_deterministic(self):
@@ -75,7 +76,7 @@ class TestRandomDifferential:
             g2 = random_game(rng2, max_states=15)
             s1 = solve_zielonka(g1)
             s2 = solve_zielonka(g2)
-            assert s1 == s2
+            assert same_solution(s1, s2)
 
 
 class TestReferenceIdentity:
@@ -90,7 +91,7 @@ class TestReferenceIdentity:
             game = random_game(rng, max_states=sizes[i % len(sizes)])
             moves = np.sort(game.successor_tables()[1], axis=1)
             multi_edge_games += bool((moves[:, 1:] == moves[:, :-1]).any())
-            assert solve_zielonka(game) == reference_zielonka(game), i
+            assert same_solution(solve_zielonka(game), reference_zielonka(game)), i
         assert multi_edge_games > 300
 
     def test_corpus_and_arbiter_games(self):
@@ -99,7 +100,7 @@ class TestReferenceIdentity:
         problems += [arbiter_problem(n, unrealizable=u) for n in (2, 3) for u in (False, True)]
         for problem in problems:
             game = game_of(problem)
-            assert solve_zielonka(game) == reference_zielonka(game), problem
+            assert same_solution(solve_zielonka(game), reference_zielonka(game)), problem
 
 
 def game_of(problem) -> SynthesisGame:
@@ -122,6 +123,22 @@ def arbiter_games() -> list[SynthesisGame]:
 
 
 class TestArena:
+    def test_player_tables_view_the_flat_successors(self):
+        for game in random_games(20) + arbiter_games():
+            arena = _Arena(game)
+            for player, table in enumerate(game.successor_tables()):
+                assert np.shares_memory(arena.succ[player], arena.succ_flat)
+                assert np.array_equal(arena.succ[player], table)
+
+    def test_solution_arrays_are_read_only(self):
+        for game in random_games(6) + arbiter_games():
+            solution = solve_zielonka(game)
+            assert solution.winner.shape == (game.n_vertices,)
+            assert solution.strategy.shape == (2, game.n_vertices)
+            for array in (solution.winner, solution.strategy):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+
     def test_predecessors_follow_the_stable_order(self):
         for game in random_games(60) + arbiter_games():
             arena = _Arena(game)
@@ -158,24 +175,31 @@ class TestCertify:
             solution = solve_zielonka(game)
             sys_v1 = [v for v in solution.system_region
                       if owner(game, v) == SYSTEM]
-            if sys_v1 and solution.env_region:
+            if sys_v1 and solution.env_region.size:
                 return game, solution
+
+    @staticmethod
+    def first_system_move(solution: Solution) -> int:
+        """The least vertex with a System move."""
+        return int((solution.strategy[SYSTEM] >= 0).argmax())
+
+    @staticmethod
+    def with_system_move(solution: Solution, v: int, letter: int) -> Solution:
+        strategy = solution.strategy.copy()
+        strategy[SYSTEM, v] = letter
+        return Solution(solution.winner, strategy)
 
     def test_corrupted_choice_is_caught(self):
         game, solution = self.game_and_solution()
         # redirect one winning System choice towards the Environment region
-        for v in sorted(solution.system_strategy):
+        for v in (solution.strategy[SYSTEM] >= 0).nonzero()[0].tolist():
             replacement = None
             for y in range(game.n_outputs):
-                if system_move(game, v, y) in solution.env_region:
+                if solution.winner[system_move(game, v, y)] == ENVIRONMENT:
                     replacement = y
                     break
             if replacement is not None:
-                corrupted = dict(solution.system_strategy)
-                corrupted[v] = replacement
-                bad = Solution(
-                    solution.system_region, solution.env_region,
-                    corrupted, solution.env_strategy)
+                bad = self.with_system_move(solution, v, replacement)
                 with pytest.raises(ShapeError):
                     certify_strategy(game, bad)
                 return
@@ -183,41 +207,37 @@ class TestCertify:
 
     def test_wrong_domain_is_a_shape_error(self):
         game, solution = self.game_and_solution()
-        too_small = dict(solution.system_strategy)
-        too_small.pop(next(iter(too_small)))
+        too_small = self.with_system_move(solution, self.first_system_move(solution), -1)
         with pytest.raises(ShapeError):
-            certify_strategy(game, Solution(
-                solution.system_region, solution.env_region,
-                too_small, solution.env_strategy))
+            certify_strategy(game, too_small)
 
     def test_out_of_range_letter_is_a_shape_error(self):
         game, solution = self.game_and_solution()
-        for bad_letter in (-1, game.n_outputs):
-            strategy = dict(solution.system_strategy)
-            strategy[next(iter(strategy))] = bad_letter
+        for bad_letter in (-2, game.n_outputs):
             with pytest.raises(ShapeError):
-                certify_strategy(game, Solution(
-                    solution.system_region, solution.env_region,
-                    strategy, solution.env_strategy))
+                certify_strategy(game, self.with_system_move(
+                    solution, self.first_system_move(solution), bad_letter))
 
-    def test_overlapping_regions_are_a_shape_error(self):
+    def test_arrays_that_do_not_fit_the_game_are_a_shape_error(self):
         game, solution = self.game_and_solution()
-        with pytest.raises(ShapeError):
-            certify_strategy(game, Solution(
-                solution.system_region,
-                solution.env_region | {next(iter(solution.system_region))},
-                solution.system_strategy, solution.env_strategy))
+        winner = solution.winner.copy()
+        winner[0] = 2  # no player
+        for bad in (Solution(solution.winner[1:], solution.strategy[:, 1:]),
+                    Solution(solution.winner, solution.strategy[:1]),
+                    Solution(winner, solution.strategy)):
+            with pytest.raises(ShapeError, match="solution arrays"):
+                certify_strategy(game, bad)
 
     def test_swapped_regions_fail_certification(self):
         # claim the opposite winners: certify must reject with a cycle or a
         # closure violation rather than accept
         game, solution = self.game_and_solution()
-        sys_strat = {v: 0 for v in solution.env_region
-                     if owner(game, v) == SYSTEM}
-        env_strat = {v: 0 for v in solution.system_region
-                     if owner(game, v) == ENVIRONMENT}
-        swapped = Solution(
-            solution.env_region, solution.system_region, sys_strat, env_strat)
+        strategy = np.full_like(solution.strategy, -1)
+        for player in (ENVIRONMENT, SYSTEM):
+            claimed = [v for v in range(game.n_vertices)
+                       if solution.winner[v] != player and owner(game, v) == player]
+            strategy[player, claimed] = 0
+        swapped = Solution(1 - solution.winner, strategy)
         try:
             result = certify_strategy(game, swapped)
         except ShapeError:
@@ -240,7 +260,7 @@ class TestMonotonicityRegression:
             state_colours=(1, 2), initial=0)
         base_solution = solve_zielonka(base)
         ext_solution = solve_zielonka(extended)
-        assert base_solution.env_region == frozenset(range(base.n_vertices))
+        assert np.array_equal(base_solution.env_region, np.arange(base.n_vertices))
         # state vertex 0 and the r=0 System vertex stay with the Environment
         v0 = 0
         v1_r0 = env_move(extended, 0, 0)
