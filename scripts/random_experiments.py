@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Seeded randomized experiments: differential oracle runs, an HOA round
 trip of each random spec's product, a minimality check of every machine
-synthesized for the random specs, a sampled lasso differential on the 3- and
+synthesized for the random specs, the exhaustive differential oracle on the
+2- and 3-client arbiters, a sampled lasso differential on the 3- and
 4-client arbiters (with each arbiter's product size, product build time and
 synthesis time), and solver cross-checks on freshly generated instances.
 
@@ -36,6 +37,11 @@ ARBITERS = ((3, False), (3, True), (4, False))
 
 #: Seeded random lassos per arbiter.
 ARBITER_LASSOS = 2000
+
+#: (clients, unrealizable variant) of the arbiters the exhaustive oracle runs
+#: on, over all 2 * clients propositions, at stems of at most 1 letter and
+#: loops of at most 2.
+EXHAUSTIVE_ARBITERS = ((2, False), (2, True), (3, False), (3, True))
 
 
 def run_differential(args) -> int:
@@ -80,6 +86,21 @@ def run_differential(args) -> int:
           f"sink; {not_read_back} products read back differently; {machines} "
           f"machines, {not_minimal} not minimal; {elapsed:.2f}s")
     return mismatching + not_read_back + not_minimal
+
+
+def run_arbiter_oracle() -> int:
+    """Product against the conjunct oracle on every short lasso over the 2-
+    and 3-client arbiters and their unrealizable variants."""
+    mismatches = 0
+    for n, unrealizable in EXHAUSTIVE_ARBITERS:
+        spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
+        started = time.perf_counter()
+        report = differential_test(spec, 1, 2, max_aps=2 * n)
+        elapsed = time.perf_counter() - started
+        print(f"arbiter oracle: {'unrealizable ' if unrealizable else ''}{n}-client, "
+              f"{report.checked} lassos, {report.mismatches} mismatches, {elapsed:.3f}s")
+        mismatches += report.mismatches
+    return mismatches
 
 
 def run_arbiter_lassos(args) -> int:
@@ -152,8 +173,8 @@ def main() -> int:
     parser.add_argument("--max-loop", type=int, default=3)
     parser.add_argument("--max-game-states", type=int, default=50)
     args = parser.parse_args()
-    bad = (run_differential(args) + run_arbiter_lassos(args)
-           + run_solver_cross_check(args))
+    bad = (run_differential(args) + run_arbiter_oracle()
+           + run_arbiter_lassos(args) + run_solver_cross_check(args))
     return 1 if bad else 0
 
 

@@ -37,16 +37,28 @@ def minimise(machine: MealyMachine) -> MealyMachine:
     number of blocks stops growing.  The quotient keeps the blocks reachable
     from the initial one, numbered breadth-first in input-letter order.
     """
-    # per state: its successor and output columns, and a getter that reads
-    # its own block and the blocks of its successors
-    columns = [tuple(zip(*row)) for row in machine.transitions]
+    return _minimise(machine.inputs, machine.outputs, machine.initial,
+                     [tuple(zip(*row)) for row in machine.transitions])
+
+
+def _minimise(
+    inputs: tuple[str, ...],
+    outputs: tuple[str, ...],
+    initial: int,
+    columns: list[tuple],
+) -> MealyMachine:
+    """:func:`minimise` of the machine whose state ``s`` has the successor
+    and output columns ``columns[s]``, each a sequence indexed by input
+    letter, the outputs a tuple."""
+    # per state: a getter that reads its own block and the blocks of its
+    # successors
     signature = [itemgetter(s, *targets) for s, (targets, _) in enumerate(columns)]
 
     def number(keys: list) -> tuple[list[int], int]:
         ids: dict = {}
         return [ids.setdefault(key, len(ids)) for key in keys], len(ids)
 
-    block, count = number([outputs for _, outputs in columns])
+    block, count = number([ys for _, ys in columns])
     while True:
         refined, refined_count = number([of(block) for of in signature])
         if refined_count == count:
@@ -56,10 +68,10 @@ def minimise(machine: MealyMachine) -> MealyMachine:
     # one state of each block, with its successor and output columns
     member = dict(zip(block, columns))
     order, rows = breadth_first(
-        block[machine.initial], lambda b: [block[t] for t in member[b][0]])
+        block[initial], lambda b: [block[t] for t in member[b][0]])
     return MealyMachine(
-        inputs=machine.inputs,
-        outputs=machine.outputs,
+        inputs=inputs,
+        outputs=outputs,
         n_states=len(order),
         initial=0,
         transitions=tuple(tuple(zip(row, member[b][1])) for b, row in zip(order, rows)),

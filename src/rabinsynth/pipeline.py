@@ -24,7 +24,7 @@ from .boolexpr import ApTable, free_names
 from .game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
 from .hoa import parse_hoa
 from .ltl import compile_pattern, normalize, parse_ltl, unnameable
-from .mealy import MealyMachine, minimise
+from .mealy import MealyMachine, _minimise
 from .graphs import breadth_first, find_max_colour_cycle
 from .product import (
     CapacityExceeded,
@@ -181,13 +181,8 @@ def extract_mealy(game: SynthesisGame, solution: Solution) -> MealyMachine:
     outputs = solution.strategy[SYSTEM, game.n_states:].reshape(game.n_states, game.n_inputs)
     order, rows = breadth_first(game.initial, lambda q: [
         game.transitions.item(q, x | y << bits) for x, y in enumerate(outputs[q].tolist())])
-    return minimise(MealyMachine(
-        inputs=game.table.names[:bits],
-        outputs=game.table.names[bits:],
-        n_states=len(order),
-        initial=0,
-        transitions=tuple(tuple(zip(row, ys)) for row, ys in zip(rows, outputs[order].tolist())),
-    ))
+    return _minimise(game.table.names[:bits], game.table.names[bits:], 0,
+                     list(zip(rows, map(tuple, outputs[order].tolist()))))
 
 
 @dataclass(frozen=True)
@@ -291,8 +286,10 @@ _HIGH_EVEN = np.array(
     [False] + [((m.bit_length() - 1) % 2 == 0) for m in range(1, 32)],
     dtype=bool)
 
-# (loop words x product states) cells processed per array pass
-_CHUNK_CELLS = 4096
+# (loop word, product state) plus (loop word, stem end) cells per chunk.  A
+# chunk's arrays peak at 32 to 41 bytes a cell (tracemalloc, on the 2- and
+# 3-client arbiters and on random specs), so a chunk stays under 0.7 MB.
+_CHUNK_CELLS = 1 << 14
 
 
 def differential_test(
@@ -305,18 +302,20 @@ def differential_test(
     """Compare product verdicts against the conjunct oracle on every lasso
     with stem length up to ``max_stem`` and loop length up to ``max_loop``.
 
-    Verdicts are computed for all stems at once: one bit signature per
+    Verdicts are computed for all stems at once.  One bit signature per
     product state records its colour and the acceptance-set memberships of
-    every conjunct component, and pointer doubling aggregates those
-    signatures over the repeating cycle of each loop word.  The loop words
-    of one length are checked together, in chunks of at most
-    ``_CHUNK_CELLS`` (word, state) cells.  In a collapsed product state
-    every conjunct it no longer tracks reads as failing: one of them has
-    failed for good, so the verdict is the same.  Raises
-    :class:`CapacityExceeded` beyond ``max_aps`` propositions, or when the
-    lassos number ``2 ** 63`` or more: they are counted in int64.  Raises
-    :class:`ValueError` for bounds that define no lasso: ``max_stem < 0`` or
-    ``max_loop < 1``.
+    every conjunct component.  Each loop word is read once from every
+    product state, which gives the word's map on the states and the
+    signature bits each reading passes.  Brent's cycle detection then
+    follows the map from each distinct stem end to its cycle and ORs the
+    bits around it.  The loop words of all lengths are checked together, in
+    chunks of at most ``_CHUNK_CELLS`` (word, state) and (word, stem end)
+    cells.  In a collapsed product state every conjunct it no longer tracks
+    reads as failing: one of them has failed for good, so the verdict is the
+    same.  Raises :class:`CapacityExceeded` beyond ``max_aps``
+    propositions, or when the lassos number ``2 ** 63`` or more: they are
+    counted in int64.  Raises :class:`ValueError` for bounds that define no
+    lasso: ``max_stem < 0`` or ``max_loop < 1``.
     """
     if max_stem < 0 or max_loop < 1:
         raise ValueError(
@@ -338,8 +337,13 @@ def differential_test(
             f"{max_loop} letters over {n_letters} letters exceeds 2**63 lassos")
     pa = build_product(spec)
     n = pa.n_states
-    # int32 index arrays would be converted on every gather below
-    transitions = pa.transitions.astype(np.intp)
+    # successor[letter * n + state], so that a gather reads one flat index;
+    # letter n_letters stays put and pads the loop words shorter than
+    # max_loop.  int32 indices would be converted on every gather below.
+    successor = np.empty((n_letters + 1, n), dtype=np.intp)
+    successor[:n_letters] = pa.transitions.T
+    successor[n_letters] = np.arange(n)
+    successor = successor.ravel()
 
     # per component: whether it is Buchi, and its accepting or rejecting states
     conjuncts = [(True, aut.acceptance.accepting) if isinstance(aut.acceptance, Buchi)
@@ -362,41 +366,71 @@ def differential_test(
     for _ in range(max_stem):
         sources = np.flatnonzero(frontier)
         nxt = np.zeros(n, dtype=np.int64)
-        np.add.at(nxt, transitions[sources], frontier[sources, None])
+        np.add.at(nxt, pa.transitions[sources], frontier[sources, None])
         stem_counts = stem_counts + nxt
         frontier = nxt
     end_states = np.flatnonzero(stem_counts)
     end_multiplicity = stem_counts[end_states]
     n_stems = int(end_multiplicity.sum())
 
-    doubling_rounds = max(1, (n - 1).bit_length())
-    chunk_words = max(1, _CHUNK_CELLS // n)
-
+    # loop word w is the bijective base-n_letters numeral w + 1, read from its
+    # least significant digit; every word of length 1 to max_loop is one w
+    n_words = sum(n_letters ** length for length in range(1, max_loop + 1))
+    chunk_words = max(1, _CHUNK_CELLS // (n + len(end_states)))
     checked = 0
     mismatches = 0
-    for length in range(1, max_loop + 1):
-        n_words = n_letters ** length
-        for first in range(0, n_words, chunk_words):
-            words = np.arange(first, min(first + chunk_words, n_words))
-            jump = np.broadcast_to(np.arange(n), (len(words), n))
-            bits = np.zeros((len(words), n), dtype=np.int64)
-            for i in range(length):
-                jump = transitions[jump, (words // n_letters ** i % n_letters)[:, None]]
-                bits |= signature[jump]
-            # pointer doubling on flat indices into the (words x states) array
-            jump = (jump + n * np.arange(len(words))[:, None]).ravel()
-            bits = bits.ravel()
-            for _ in range(doubling_rounds):
-                bits = bits | bits[jump]
-                jump = jump[jump]
-            cycle_bits = bits[jump.reshape(len(words), n)[:, end_states]]
+    for first in range(0, n_words, chunk_words):
+        digits = np.arange(first, min(first + chunk_words, n_words))
+        words = len(digits)
+        # per (word, state): the state one reading of the word ends in, and
+        # the signature bits of the states it passes
+        jump = np.arange(n)
+        bits = np.zeros((words, n), dtype=np.int64)
+        for _ in range(max_loop):
+            letters = np.where(digits >= 0, digits % n_letters, n_letters)
+            digits = digits // n_letters - 1
+            jump = successor.take((letters * n)[:, None] + jump)
+            bits |= signature.take(jump)
+        # Brent's cycle detection (Brent, BIT 1980) from every (word, stem end)
+        # pair at once, on flat indices into the (words x states) arrays.  The
+        # hare is ``steps`` readings past the tortoise, which jumps to it
+        # whenever ``steps`` reaches ``power``, a power of two; ``seen`` holds
+        # the bits read from the tortoise to the hare.  The two meet only when
+        # the tortoise is on the cycle and the hare whole laps ahead, so
+        # ``seen`` then holds the cycle's bits, at a pair's first meeting and
+        # at every later one: pairs that have met step on with the rest.  A
+        # pair starts one reading past its stem end, on the same cycle: a
+        # comparison of the two would find only fixed points, which the first
+        # comparison finds as well.
+        jump += n * np.arange(words)[:, None]
+        jump, bits = jump.ravel(), bits.ravel()
+        tortoise = jump[(n * np.arange(words)[:, None] + end_states).ravel()]
+        hare = jump[tortoise]
+        seen = bits[tortoise]
+        cycle_bits = np.empty(len(tortoise), dtype=np.int64)
+        done = np.zeros(len(tortoise), dtype=bool)
+        power = steps = 1
+        while True:
+            met = tortoise == hare
+            np.copyto(cycle_bits, seen, where=met)
+            done |= met
+            if done.all():
+                break
+            if steps == power:
+                tortoise, seen = hare, bits[hare]
+                power, steps = 2 * power, 0
+            else:
+                seen |= bits[hare]
+            hare = jump[hare]
+            steps += 1
+        cycle_bits = cycle_bits.reshape(words, len(end_states))
 
-            accepted = (cycle_bits >> 5) ^ flip
-            oracle_verdict = (((accepted & assumed) != assumed)
-                              | ((accepted & guaranteed) == guaranteed))
-            disagree = _HIGH_EVEN[cycle_bits & 31] != oracle_verdict
-            mismatches += int(disagree.sum(axis=0) @ end_multiplicity)
-            checked += n_stems * len(words)
+        accepted = (cycle_bits >> 5) ^ flip
+        oracle_verdict = (((accepted & assumed) != assumed)
+                          | ((accepted & guaranteed) == guaranteed))
+        disagree = _HIGH_EVEN[cycle_bits & 31] != oracle_verdict
+        mismatches += int(disagree.sum(axis=0) @ end_multiplicity)
+        checked += n_stems * words
     return DifferentialReport(
         checked=checked, mismatches=mismatches, regions=frozenset(region.tolist()))
 

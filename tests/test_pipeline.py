@@ -662,6 +662,58 @@ class TestDifferential:
         assert report.checked == len(lassos)
         assert report.mismatches == expected
 
+    @pytest.mark.parametrize("chunk_cells", [None, 2000], ids=["one_chunk", "ten_chunks"])
+    def test_counts_disagreeing_lassos_on_long_orbits(self, monkeypatch, chunk_cells):
+        # Buchi rings of 7 and 11 states, each advancing on its own letter:
+        # reading {r, g} from the initial state runs round a 77-state cycle
+        from rabinsynth import pipeline
+
+        table = ApTable(("r", "g"))
+
+        def ring(size, bit):
+            targets = [[(s + 1) % size if letter >> bit & 1 else s for letter in table.letters()]
+                       for s in range(size)]
+            return OmegaAutomaton(table, 0, targets, Buchi(frozenset({0})))
+
+        spec = NormalizedSpec(("r",), ("g",), (ring(7, 0),), (), (ring(11, 1),), ())
+        pa = build_product(spec)
+        index: dict[int, int] = {}
+        state = pa.initial
+        while state not in index:
+            index[state] = len(index)
+            state = pa.transitions.item(state, 0b11)
+        assert len(index) - index[state] == 77
+        colours = tuple((c + 1) % 5 if s % 13 == 2 else c
+                        for s, c in enumerate(pa.colours))
+        wrong = dataclasses.replace(pa, colours=colours)
+        monkeypatch.setattr(pipeline, "build_product", lambda spec, **kw: wrong)
+        if chunk_cells is not None:
+            # about nine loop words a chunk, so chunks mix loop lengths
+            monkeypatch.setattr(pipeline, "_CHUNK_CELLS", chunk_cells)
+        lassos = list(all_lassos(spec.table(), 1, 3))
+        expected = sum(product_accepts(wrong, lasso) != lasso_oracle(spec, lasso)
+                       for lasso in lassos)
+        report = differential_test(spec, 1, 3)
+        assert expected > 0
+        assert report.checked == len(lassos)
+        assert report.mismatches == expected
+
+    def test_memory_stays_within_a_few_chunks(self):
+        # 4,368 loop words x 218 states: the whole (words x states) tables
+        # would take more than 15 MB
+        import tracemalloc
+
+        spec = normalize_problem(arbiter_problem(2))
+        tracemalloc.start()
+        try:
+            report = differential_test(spec, 1, 3, max_aps=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.checked == 17 * 4368
+        assert report.mismatches == 0
+        assert peak < 4 * 2 ** 20
+
     def test_conjunct_limit_is_checked_before_the_product(self, monkeypatch):
         from rabinsynth import pipeline
 
