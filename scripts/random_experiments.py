@@ -18,8 +18,7 @@ import random
 import sys
 import time
 
-from rabinsynth.automata import Parity
-from rabinsynth.hoa import emit_letter_table, parse_hoa
+from rabinsynth.hoa import emit_hoa, parse_hoa
 from rabinsynth.pipeline import (
     Realizable, differential_test, normalize_problem, sampled_differential, synthesize)
 from rabinsynth.product import ASSUMPTION_DEAD, GUARANTEE_DEAD, LIVE, build_product
@@ -66,8 +65,7 @@ def run_differential(args) -> int:
         for region in reached:
             reached[region] += region in report.regions
         pa = build_product(spec)
-        parsed, _ = parse_hoa(emit_letter_table(
-            pa.transitions, pa.initial, Parity(pa.colours, 5), pa.table))
+        parsed, _ = parse_hoa(emit_hoa(pa.automaton, pa.table))
         if (parsed.targets.tolist() != pa.transitions.tolist()
                 or parsed.acceptance.colours != pa.colours):
             not_read_back += 1

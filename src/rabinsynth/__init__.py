@@ -44,7 +44,6 @@ from .pipeline import (
     extract_mealy,
     lasso_oracle,
     normalize_problem,
-    product_accepts,
     sampled_differential,
     synthesize,
     verify_mealy,
@@ -114,7 +113,6 @@ __all__ = [
     "normalize_problem",
     "parse_hoa",
     "parse_ltl",
-    "product_accepts",
     "raw_product_bound",
     "sampled_differential",
     "solve_progress_measures",

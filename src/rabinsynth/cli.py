@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .automata import Lasso, Parity
-from .hoa import emit_letter_table
+from .automata import Lasso
+from .hoa import emit_hoa
 from .mealy import machine_from_json, machine_to_dict, machine_to_dot, machine_to_json
 from .pipeline import (
     ConjunctSource,
@@ -149,7 +149,7 @@ def _cmd_check(args) -> int:
 def _cmd_product(args) -> int:
     spec = normalize_problem(load_spec_problem(args.spec))
     pa = build_product(spec)
-    text = emit_letter_table(pa.transitions, pa.initial, Parity(pa.colours, 5), pa.table)
+    text = emit_hoa(pa.automaton, pa.table)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

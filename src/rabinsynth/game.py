@@ -10,6 +10,7 @@ intermediate vertices carry the neutral colour 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,14 +71,56 @@ class SynthesisGame:
     def n_vertices(self) -> int:
         return self.n_env_vertices + self.n_system_vertices
 
-    def successor_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Move targets indexed by move letter, rows in vertex order: one table
-        for the Environment vertices, one for the System vertices."""
-        env = self.n_states + np.arange(self.n_system_vertices).reshape(
-            self.n_states, self.n_inputs)
-        system = self.transitions.reshape(
-            self.n_states, self.n_outputs, self.n_inputs).transpose(0, 2, 1)
-        return env, system.reshape(self.n_system_vertices, self.n_outputs)
+    @cached_property
+    def arena(self) -> Arena:
+        """The game as integer arrays, built on first reading."""
+        return Arena(self)
+
+
+class Arena:
+    """The game as integer arrays.  Player ``p`` owns the vertices in
+    ``span[p]``, Environment vertices first.
+    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` holds the move targets of
+    vertex ``v`` by letter, ``degree[v]`` (int32) moves; ``succ[p]`` views
+    the same storage as a table, ``succ[p][v - span[p].start]`` the row of
+    ``p``'s vertex ``v``.
+    ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the source of every edge
+    into ``v`` (``pred_count[v]`` edges), by source vertex and then letter.
+    ``owned[p]`` marks ``p``'s vertices, and ``sign[p]`` is -1 on them and 1
+    elsewhere.
+    """
+
+    def __init__(self, game: SynthesisGame):
+        self.n_env = n_env = game.n_env_vertices
+        n_system = game.n_system_vertices
+        self.n = n = n_env + n_system
+        self.span = (slice(0, n_env), slice(n_env, n))
+        self.owner = np.repeat(np.int8([ENVIRONMENT, SYSTEM]), [n_env, n_system])
+        self.owned = (self.owner == ENVIRONMENT, self.owner == SYSTEM)
+        self.sign = tuple(np.where(mine, -1, 1) for mine in self.owned)
+        self.colour = np.zeros(n, dtype=np.int8)
+        self.colour[:n_env] = game.state_colours
+        # the Environment rows list the System vertices in order; the System
+        # rows, each vertex's targets by output letter
+        system = game.transitions.reshape(
+            game.n_states, game.n_outputs, game.n_inputs).transpose(0, 2, 1)
+        self.succ_flat = np.concatenate([np.arange(n_env, n), system.ravel()])
+        self.succ = (self.succ_flat[:n_system].reshape(n_env, game.n_inputs),
+                     self.succ_flat[n_system:].reshape(n_system, game.n_outputs))
+        self.degree = np.repeat(np.int32([game.n_inputs, game.n_outputs]), [n_env, n_system])
+        self.succ_ptr = np.concatenate([[0], self.degree.cumsum()])
+        # one in-place sort of (target, source) keys: equal keys differ only
+        # in the letter, so each target lists its sources in succ_flat order
+        self.pred_src = pred = np.repeat(np.arange(n), self.degree)
+        pred += np.multiply(self.succ_flat, n, dtype=np.int64)
+        pred.sort()
+        pred %= n
+        self.pred_count = np.bincount(self.succ_flat, minlength=n)
+        self.pred_ptr = np.concatenate([[0], self.pred_count.cumsum()])
+
+    def successors(self, vertices: np.ndarray, player: int) -> np.ndarray:
+        """Move-target rows of vertices that all belong to ``player``."""
+        return self.succ[player][vertices - self.span[player].start]
 
 
 def build_game(pa: ParityAutomaton, inputs, outputs) -> SynthesisGame:

@@ -78,39 +78,18 @@ def strongly_connected_components(
     return components
 
 
-def find_cycle_through(
-    start: int,
-    allowed: Callable[[int], bool],
-    successors: Callable[[int], Sequence[int]],
-) -> list[int] | None:
-    """Vertices of a cycle ``start -> ... -> start`` inside ``allowed``.
-
-    The closing edge back to ``start`` is implicit; ``None`` if no such cycle.
-    """
-    parents: dict[int, int] = {}
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        next_frontier = []
-        for v in frontier:
-            for w in successors(v):
-                if not allowed(w):
-                    continue
-                if w == start:
-                    path = []
-                    cur = v
-                    while cur != start:
-                        path.append(cur)
-                        cur = parents[cur]
-                    path.append(start)
-                    path.reverse()
-                    return path
-                if w not in seen:
-                    seen.add(w)
-                    parents[w] = v
-                    next_frontier.append(w)
-        frontier = next_frontier
-    return None
+def tree_path(rows: Sequence[Sequence[int]], target: int) -> list[int]:
+    """The path from vertex 0 to ``target`` in the breadth-first tree of
+    ``rows`` (as :func:`breadth_first` returns them): each vertex is reached
+    from the vertex whose row lists it first, reading the rows in order."""
+    parent: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        for w in row:
+            parent.setdefault(w, v)
+    path = [target]
+    while path[-1] != 0:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def find_max_colour_cycle(
@@ -141,8 +120,11 @@ def find_max_colour_cycle(
                 continue
             if len(component) == 1 and component[0] not in sub_succ(component[0]):
                 continue
-            cycle = find_cycle_through(
-                min(witnesses), set(component).__contains__, sub_succ)
-            assert cycle is not None
-            return d, cycle
+            # the cycle closes at the first vertex, breadth-first from the
+            # witness, with an edge back to it
+            inside = set(component)
+            order, rows = breadth_first(
+                min(witnesses), lambda v: [t for t in successors(v) if t in inside])
+            closing = next(i for i, row in enumerate(rows) if 0 in row)
+            return d, [order[i] for i in tree_path(rows, closing)]
     return None

@@ -27,8 +27,6 @@ import functools
 import re
 from operator import and_, or_
 
-import numpy as np
-
 from .automata import (
     Buchi,
     CoBuchi,
@@ -180,15 +178,16 @@ def _guard_reader(table: ApTable):
 # emitter
 
 
-def emit_letter_table(targets, initial: int, acceptance, table: ApTable) -> str:
-    """Serialise the automaton with the dense ``state x letter -> target``
-    table ``targets`` (rows of ints, or a 2-d array).
+def emit_hoa(aut: OmegaAutomaton, table: ApTable) -> str:
+    """Serialise an automaton through its letter table over ``table`` (see
+    :func:`~rabinsynth.automata.transition_table`); stable under parse/emit
+    round-trips.
 
     Each state gets one edge per target, in ascending target order.  Its
     guard is ``t`` if the edge covers every letter, and otherwise the
     disjunction of its letters' minterms (``0 & !1 & 2``) in letter order."""
-    rows = np.asarray(targets).tolist()
-    match acceptance:
+    rows = transition_table(aut, table).tolist()
+    match aut.acceptance:
         case Buchi(accepting):
             acc_name = "Buchi"
             sets = [accepting]
@@ -206,13 +205,13 @@ def emit_letter_table(targets, initial: int, acceptance, table: ApTable) -> str:
             acc_name = "safety"
             sets = []
         case _:
-            raise UnsupportedFeature(type(acceptance).__name__)
-    formula = (_parity_max_even_formula(len(sets)) if isinstance(acceptance, Parity)
+            raise UnsupportedFeature(type(aut.acceptance).__name__)
+    formula = (_parity_max_even_formula(len(sets)) if isinstance(aut.acceptance, Parity)
                else _CANONICAL_ACCEPTANCE[acc_name][1])
     lines = [
         "HOA: v1",
         f"States: {len(rows)}",
-        f"Start: {initial}",
+        f"Start: {aut.initial}",
         "AP: " + " ".join([str(table.size)] + [f'"{n}"' for n in table.names]),
         f"acc-name: {acc_name}",
         f"Acceptance: {len(sets)} {formula}",
@@ -233,13 +232,6 @@ def emit_letter_table(targets, initial: int, acceptance, table: ApTable) -> str:
             lines.append(f"[{guard}] {target}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
-
-
-def emit_hoa(aut: OmegaAutomaton, table: ApTable) -> str:
-    """Serialise an automaton through its letter table (see
-    :func:`emit_letter_table`); stable under parse/emit round-trips.  Raises
-    :class:`ValidationError` unless the automaton is deterministic and total."""
-    return emit_letter_table(transition_table(aut, table), aut.initial, aut.acceptance, table)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .automata import (
-    Buchi, Lasso, OmegaAutomaton, Parity, accepts_inf, eval_lasso, infinity_set)
+    Buchi, Lasso, OmegaAutomaton, accepts_inf, eval_lasso, infinity_set)
 from .boolexpr import ApTable, free_names
 from .game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
 from .hoa import parse_hoa
 from .ltl import compile_pattern, normalize, parse_ltl, unnameable
 from .mealy import MealyMachine, _minimise
-from .graphs import breadth_first, find_max_colour_cycle
+from .graphs import breadth_first, find_max_colour_cycle, tree_path
 from .product import (
     CapacityExceeded,
     NormalizedSpec,
@@ -196,11 +196,23 @@ def verify_mealy(machine: MealyMachine, pa: ParityAutomaton) -> Violation | None
     Explores the synchronous product of machine and automaton and reports a
     concrete lasso witness whenever some reachable cycle has an odd maximum
     colour (checked per odd colour on the subgraph of colours up to it).
+    Raises :class:`ValueError` unless every state has one transition per
+    input letter, each to a state of the machine with an output letter.
     """
     if machine.inputs + machine.outputs != pa.table.names:
         raise IncompatibleAlphabets(
             "machine propositions do not match the specification alphabet")
     input_bits = len(machine.inputs)
+    n_inputs, n_outputs = 1 << input_bits, 1 << len(machine.outputs)
+    if len(machine.transitions) != machine.n_states or not 0 <= machine.initial < machine.n_states:
+        raise ValueError("a machine needs one transition row per state and an initial "
+                         "state among them")
+    for s, row in enumerate(machine.transitions):
+        if len(row) != n_inputs or not all(
+                0 <= target < machine.n_states and 0 <= y < n_outputs for target, y in row):
+            raise ValueError(f"state {s} needs one transition for each of the {n_inputs} input "
+                             f"letters, each to a state below {machine.n_states} with an "
+                             f"output letter below {n_outputs}")
 
     def step(node: tuple[int, int]) -> list[tuple[int, int]]:
         m, q = node
@@ -215,23 +227,15 @@ def verify_mealy(machine: MealyMachine, pa: ParityAutomaton) -> Violation | None
         return None
     cycle = found[1]
 
-    def letter(v: int, x: int) -> int:
-        return x | machine.transitions[order[v][0]][x][1] << input_bits
+    def letters(walk: list[int]) -> tuple[int, ...]:
+        """The letters that take the walk's steps, each by its first input."""
+        inputs = [rows[v].index(w) for v, w in zip(walk, walk[1:])]
+        return tuple(x | machine.transitions[order[v][0]][x][1] << input_bits
+                     for v, x in zip(walk, inputs))
 
-    # stem: the breadth-first tree path from the initial node to the cycle
-    # entry; each node was discovered by its first occurrence in the rows
-    discovered: dict[int, tuple[int, int]] = {}
-    for v, row in enumerate(rows):
-        for x, t in enumerate(row):
-            discovered.setdefault(t, (v, x))
-    stem: list[int] = []
-    cursor = cycle[0]
-    while cursor != 0:
-        cursor, x = discovered[cursor]
-        stem.append(letter(cursor, x))
-    loop = [letter(v, rows[v].index(cycle[(i + 1) % len(cycle)]))
-            for i, v in enumerate(cycle)]
-    return Violation(Lasso(tuple(reversed(stem)), tuple(loop)))
+    # the stem follows the breadth-first tree from the initial node to the
+    # cycle's first node; the loop goes once round the cycle
+    return Violation(Lasso(letters(tree_path(rows, cycle[0])), letters(cycle + cycle[:1])))
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +252,12 @@ def lasso_oracle(spec: NormalizedSpec, lasso: Lasso) -> bool:
     return all(eval_lasso(aut, lasso, table) for aut in guarantees)
 
 
-def product_accepts(pa: ParityAutomaton, lasso: Lasso) -> bool:
-    """Run the product on a lasso; accept iff the maximum colour visited
-    infinitely often is even."""
-    inf = infinity_set(pa.transitions.item, pa.initial, lasso)
-    return accepts_inf(Parity(pa.colours, 5), inf)
-
-
 def sampled_differential(
     spec: NormalizedSpec,
     pa: ParityAutomaton,
     lassos: Iterable[Lasso],
 ) -> tuple[int, Counter[int]]:
-    """Compare ``product_accepts`` with ``lasso_oracle`` on the lassos; return
+    """Compare the product's verdict with ``lasso_oracle`` on the lassos; return
     the number of disagreements and how many lassos end in each product
     region (the regions are absorbing, so a run's cycle lies in one)."""
     mismatches = 0
@@ -268,7 +265,7 @@ def sampled_differential(
     region = pa.key_space.read(pa.keys)[0].tolist()
     for lasso in lassos:
         cycle = infinity_set(pa.transitions.item, pa.initial, lasso)
-        accepted = accepts_inf(Parity(pa.colours, 5), cycle)
+        accepted = accepts_inf(pa.automaton.acceptance, cycle)
         mismatches += accepted != lasso_oracle(spec, lasso)
         ends[region[min(cycle)]] += 1
     return mismatches, ends

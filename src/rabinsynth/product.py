@@ -34,6 +34,7 @@ from .automata import (
     Buchi,
     CoBuchi,
     OmegaAutomaton,
+    Parity,
     absorbing_states,
     transition_table,
     validate,  # unused here; perfbench/tracing.py times product.validate
@@ -189,6 +190,8 @@ class ParityAutomaton:
     the initial state, and reading the array row-major, every new successor
     gets the next free index.  ``colours[s]`` is a Python int, ``keys[s]``
     the state's int64 key, and ``states[s]`` decodes it on first reading.
+    ``automaton`` is the product as a five-colour parity automaton over
+    ``table``, reading ``transitions`` itself.
     """
 
     table: ApTable
@@ -198,6 +201,10 @@ class ParityAutomaton:
     colours: tuple[int, ...]
     keys: np.ndarray
     key_space: KeySpace
+
+    @cached_property
+    def automaton(self) -> OmegaAutomaton:
+        return OmegaAutomaton(self.table, self.initial, self.transitions, Parity(self.colours, 5))
 
     @cached_property
     def states(self) -> tuple[ProductState, ...]:

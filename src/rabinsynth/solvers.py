@@ -5,8 +5,8 @@ solver over small progress measures provides an independently computed winning
 region for cross-checking.  Both operate on the bipartite letter-labelled
 games of :mod:`rabinsynth.game` with the convention that the System wins a
 play iff the maximum colour occurring infinitely often is even.  All of them
-read one array arena (successor tables, CSR predecessors); Zielonka recurses
-on vertex masks and attracts a breadth-first level at a time.
+read the game's one array arena (:class:`~rabinsynth.game.Arena`); Zielonka
+recurses on vertex masks and attracts a breadth-first level at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ENVIRONMENT, SYSTEM, SynthesisGame
+from .game import ENVIRONMENT, SYSTEM, Arena, SynthesisGame
 from .graphs import find_max_colour_cycle
 
 
@@ -61,53 +61,10 @@ class StrategyCounterexample:
     reason: str
 
 
-class _Arena:
-    """The game as integer arrays.  Player ``p`` owns the vertices in
-    ``span[p]``, Environment vertices first.
-    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` holds the move targets of
-    vertex ``v`` by letter, ``degree[v]`` (int32) moves; ``succ[p]`` views
-    the same storage as a table, ``succ[p][v - span[p].start]`` the row of
-    ``p``'s vertex ``v``.
-    ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the source of every edge
-    into ``v`` (``pred_count[v]`` edges), by source vertex and then letter.
-    ``owned[p]`` marks ``p``'s vertices, and ``sign[p]`` is -1 on them and 1
-    elsewhere.
-    """
-
-    def __init__(self, game: SynthesisGame):
-        tables = game.successor_tables()  # indexed by player
-        self.n_env = n_env = len(tables[ENVIRONMENT])
-        self.n = n = n_env + len(tables[SYSTEM])
-        self.span = (slice(0, n_env), slice(n_env, n))
-        self.owner = np.repeat(np.int8([ENVIRONMENT, SYSTEM]), [n_env, n - n_env])
-        self.owned = (self.owner == ENVIRONMENT, self.owner == SYSTEM)
-        self.sign = tuple(np.where(mine, -1, 1) for mine in self.owned)
-        self.colour = np.zeros(n, dtype=np.int8)
-        self.colour[:n_env] = game.state_colours
-        self.succ_flat = np.concatenate([table.ravel() for table in tables])
-        split = tables[ENVIRONMENT].size
-        self.succ = (self.succ_flat[:split].reshape(tables[ENVIRONMENT].shape),
-                     self.succ_flat[split:].reshape(tables[SYSTEM].shape))
-        self.degree = np.repeat(np.int32([t.shape[1] for t in tables]), [n_env, n - n_env])
-        self.succ_ptr = np.concatenate([[0], self.degree.cumsum()])
-        # one in-place sort of (target, source) keys: equal keys differ only
-        # in the letter, so each target lists its sources in succ_flat order
-        self.pred_src = pred = np.repeat(np.arange(n), self.degree)
-        pred += np.multiply(self.succ_flat, n, dtype=np.int64)
-        pred.sort()
-        pred %= n
-        self.pred_count = np.bincount(self.succ_flat, minlength=n)
-        self.pred_ptr = np.concatenate([[0], self.pred_count.cumsum()])
-
-    def successors(self, vertices: np.ndarray, player: int) -> np.ndarray:
-        """Move-target rows of vertices that all belong to ``player``."""
-        return self.succ[player][vertices - self.span[player].start]
-
-
 _NO_TRIGGER = np.iinfo(np.intp).min  # below every edge key
 
 
-def _attract(arena: _Arena, mask: np.ndarray, degree: np.ndarray, targets: np.ndarray,
+def _attract(arena: Arena, mask: np.ndarray, degree: np.ndarray, targets: np.ndarray,
              player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vertices from which ``player`` can force a visit to ``targets`` in the
     subgame on ``mask``, whose vertices have the out-degrees ``degree``.
@@ -164,7 +121,7 @@ def _attract(arena: _Arena, mask: np.ndarray, degree: np.ndarray, targets: np.nd
     return attracted, own, ahead.argmax(axis=1), np.where(mine, degree, remaining)
 
 
-def _solve(arena: _Arena, mask: np.ndarray, degree: np.ndarray, region: np.ndarray,
+def _solve(arena: Arena, mask: np.ndarray, degree: np.ndarray, region: np.ndarray,
            strategy: np.ndarray) -> None:
     """Solve the subgame on ``mask``, whose vertices have the out-degrees
     ``degree``, in place: ``region[v]`` is set to the winner of each vertex,
@@ -201,7 +158,7 @@ def _solve(arena: _Arena, mask: np.ndarray, degree: np.ndarray, region: np.ndarr
 
 def solve_zielonka(game: SynthesisGame) -> Solution:
     """Exact winning regions and positional strategies for both players."""
-    arena = _Arena(game)
+    arena = game.arena
     winner = np.zeros(arena.n, dtype=np.int8)
     strategy = np.full((2, arena.n), -1, dtype=np.intp)
     _solve(arena, np.ones(arena.n, dtype=bool), arena.degree, winner, strategy)
@@ -218,7 +175,7 @@ def solve_progress_measures(game: SynthesisGame) -> frozenset[int]:
     """
     if any(c > 4 or c < 0 for c in game.state_colours):
         raise ValueError("colours must lie in 0..4")
-    arena = _Arena(game)
+    arena = game.arena
     n = arena.n
     # the lifting loop reads the arena's arrays as flat Python lists
     colour, succ, succ_ptr, pred_src, pred_ptr = (a.tolist() for a in (
@@ -265,7 +222,7 @@ def certify_strategy(
     (arrays that do not fit the game, wrong strategy domain, choices
     leaving the owning region) raise :class:`ShapeError`.
     """
-    arena = _Arena(game)
+    arena = game.arena
     n = arena.n
     winner, strategy = solution.winner, solution.strategy
     if winner.shape != (n,) or strategy.shape != (2, n) or (winner >> 1).any():

@@ -314,7 +314,7 @@ def reference_zielonka(game: SynthesisGame) -> Solution:
     attracting player the first letter leading into the attractor built so
     far.  ``solve_zielonka`` must return exactly this solution.
     """
-    env_succ, sys_succ = game.successor_tables()
+    env_succ, sys_succ = game.arena.succ
     succ = env_succ.tolist() + sys_succ.tolist()
     n = len(succ)
     owner = [ENVIRONMENT] * len(env_succ) + [SYSTEM] * len(sys_succ)

@@ -14,7 +14,7 @@ import numpy as np
 
 from rabinsynth.automata import Parity
 from rabinsynth.cli import load_spec_problem
-from rabinsynth.hoa import emit_hoa, emit_letter_table, parse_hoa
+from rabinsynth.hoa import emit_hoa, parse_hoa
 from rabinsynth.ltl import compile_pattern, parse_ltl
 from rabinsynth.boolexpr import ApTable
 from rabinsynth.mealy import machine_from_json, machine_to_json
@@ -216,8 +216,7 @@ def test_criterion_7_round_trips():
                 assert parsed.acceptance == aut.acceptance
                 assert emit_hoa(parsed, parsed_table) == text
             pa = build_product(spec)
-            text = emit_letter_table(
-                pa.transitions, pa.initial, Parity(pa.colours, 5), table)
+            text = emit_hoa(pa.automaton, table)
             assert "acc-name: parity max even 5" in text
             parsed, parsed_table = parse_hoa(text)
             assert isinstance(parsed.acceptance, Parity)

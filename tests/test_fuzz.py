@@ -14,10 +14,13 @@ replacing one character, replacing a number (by a huge one or by digits
 Document seeds are the corpus specs, the 2-client arbiter with an inline
 automaton, and the machines synthesized for the realizable corpus specs.
 Each example replaces, deletes, duplicates, inserts or wraps a few values
-anywhere in one seed's JSON tree.
+anywhere in one seed's JSON tree.  Mutated machines are also checked end to
+end, by ``rabinsynth verify`` against the spec they were synthesized for.
 """
 
+import contextlib
 import copy
+import io
 import json
 import random
 import re
@@ -26,13 +29,14 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from rabinsynth.automata import Parity, ValidationError
+from rabinsynth.automata import Lasso, Parity, ValidationError
 from rabinsynth.boolexpr import ApTable
-from rabinsynth.cli import SpecFileError, load_spec_problem, spec_problem_from_dict
+from rabinsynth.cli import SpecFileError, load_spec_problem, run, spec_problem_from_dict
 from rabinsynth.hoa import HoaError, emit_hoa, parse_hoa
 from rabinsynth.ltl import LtlError, format_pattern, parse_ltl
 from rabinsynth.mealy import machine_from_dict, machine_to_dict
-from rabinsynth.pipeline import NormalizationError, Realizable, normalize_problem, synthesize
+from rabinsynth.pipeline import (
+    NormalizationError, Realizable, lasso_oracle, normalize_problem, synthesize)
 from rabinsynth.rand import arbiter_problem, random_letter_automaton, random_pattern
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -140,9 +144,15 @@ def spec_seeds() -> list[dict]:
     return seeds
 
 
+def verify_seeds() -> list[tuple[Path, dict]]:
+    """Each realizable corpus spec with the machine synthesized for it."""
+    outcomes = ((path, synthesize(load_spec_problem(path))) for path in CORPUS_SPECS)
+    return [(path, machine_to_dict(o.machine)) for path, o in outcomes
+            if isinstance(o, Realizable)]
+
+
 def machine_seeds() -> list[dict]:
-    outcomes = (synthesize(load_spec_problem(path)) for path in CORPUS_SPECS)
-    return [machine_to_dict(o.machine) for o in outcomes if isinstance(o, Realizable)]
+    return [machine for _, machine in verify_seeds()]
 
 
 #: values put into documents; short name lists only, since every guard pass
@@ -211,3 +221,42 @@ def test_machine_documents_raise_only_their_errors(doc):
         machine_from_dict(doc)
     except ValueError:
         pass
+
+
+VERIFY_SEEDS = verify_seeds()
+NORMALIZED = {path: normalize_problem(load_spec_problem(path)) for path, _ in VERIFY_SEEDS}
+
+
+@st.composite
+def redirected_machine(draw, seed: dict) -> dict:
+    """A well-formed machine: the seed with a few transitions sent to other
+    states or given other outputs."""
+    doc = copy.deepcopy(seed)
+    for _ in range(draw(st.integers(1, 3))):
+        transition = draw(st.sampled_from(doc["transitions"]))
+        if draw(st.booleans()):
+            transition["to"] = draw(st.integers(0, doc["states"] - 1))
+        else:
+            transition["out"] = draw(st.lists(st.sampled_from(doc["outputs"]), unique=True))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(VERIFY_SEEDS).flatmap(lambda seed: st.tuples(
+    st.just(seed[0]), st.one_of(redirected_machine(seed[1]), mutated_document([seed[1]])))))
+def test_verify_command_on_mutated_machines(tmp_path_factory, case):
+    """``rabinsynth verify`` exits 0, 1 or 2 on a mutated machine, and every
+    witness it prints is a word that the specification rejects."""
+    spec_path, doc = case
+    machine = tmp_path_factory.getbasetemp() / "machine.json"
+    machine.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["verify", "--json", str(spec_path), str(machine)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        spec = NORMALIZED[spec_path]
+        table = spec.table()
+        witness = json.loads(out.getvalue())["violation"]
+        lasso = Lasso(*(tuple(map(table.letter, witness[part])) for part in ("stem", "loop")))
+        assert not lasso_oracle(spec, lasso)

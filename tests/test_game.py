@@ -2,12 +2,11 @@ import random
 
 import numpy as np
 
-from rabinsynth.automata import Lasso
+from rabinsynth.automata import Lasso, eval_lasso
 from rabinsynth.boolexpr import ApTable
 from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
 from rabinsynth.ltl import compile_pattern, parse_ltl
 from rabinsynth.product import NormalizedSpec, build_product
-from rabinsynth.pipeline import product_accepts
 from rabinsynth.solvers import solve_progress_measures, solve_zielonka
 
 from helpers import colour, env_move, moves, owner, system_move
@@ -100,7 +99,7 @@ class TestPlayRunCorrespondence:
                     visits.append(vertex)
             recurring = visits[len(visits) // 2:]
             play_verdict = max(colour(game, v) for v in recurring) % 2 == 0
-            assert play_verdict == product_accepts(pa, lasso)
+            assert play_verdict == eval_lasso(pa.automaton, lasso, pa.table)
 
 
 class TestSolvedExamples:

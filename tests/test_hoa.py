@@ -19,7 +19,6 @@ from rabinsynth.hoa import (
     HoaError,
     UnsupportedFeature,
     emit_hoa,
-    emit_letter_table,
     parse_hoa,
 )
 from rabinsynth.rand import random_bool_expr, random_letter_automaton
@@ -213,7 +212,7 @@ class TestGuardDepth:
     def test_long_written_guard_reads_back(self):
         table = ApTable(tuple(f"p{k}" for k in range(11)))
         row = [0] * (table.n_letters - 1) + [1]
-        text = emit_letter_table([row, row], 0, Safety(), table)
+        text = emit_hoa(OmegaAutomaton(table, 0, [row, row], Safety()), table)
         aut, parsed_table = parse_hoa(text)
         assert aut.targets.tolist() == [row, row]
         assert emit_hoa(aut, parsed_table) == text

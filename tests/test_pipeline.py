@@ -32,7 +32,6 @@ from rabinsynth.pipeline import (
     extract_mealy,
     lasso_oracle,
     normalize_problem,
-    product_accepts,
     synthesize,
     verify_mealy,
 )
@@ -433,7 +432,7 @@ class TestVerify:
         # the witness raises a request that is never granted and the product
         # rejects it (the failure sink carries the odd-dominated cycle)
         assert any(letter & 1 for letter in lasso.stem + lasso.loop)
-        assert not product_accepts(pa, lasso)
+        assert not eval_lasso(pa.automaton, lasso, pa.table)
         # the lasso is consistent with the machine: outputs stay empty
         assert all(not letter >> 1 & 1 for letter in lasso.stem + lasso.loop)
 
@@ -448,6 +447,21 @@ class TestVerify:
             inputs=("x",), outputs=("grant",), n_states=1, initial=0,
             transitions=(((0, 0), (0, 0)),))
         with pytest.raises(IncompatibleAlphabets):
+            verify_mealy(machine, self.arbiter_product())
+
+    @pytest.mark.parametrize("n_states, initial, transitions", [
+        (1, 0, (((0, 1),),)),                 # a row that covers input 0 only
+        (1, 0, (((0, -1), (0, -1)),)),        # an output letter below 0
+        (1, 0, (((0, 3), (0, 3)),)),          # an output letter beyond one output proposition
+        (1, 0, (((0, 1), (1, 1)),)),          # a target beyond the one state
+        (2, 0, (((1, 1), (1, 1)),)),          # no row for state 1
+        (1, 1, (((0, 1), (0, 1)),)),          # an initial state beyond the one state
+    ], ids=["short row", "negative output", "output beyond the outputs", "target beyond",
+            "missing row", "initial beyond"])
+    def test_malformed_machine_is_refused(self, n_states, initial, transitions):
+        machine = MealyMachine(inputs=("request",), outputs=("grant",), n_states=n_states,
+                               initial=initial, transitions=transitions)
+        with pytest.raises(ValueError, match="needs one transition"):
             verify_mealy(machine, self.arbiter_product())
 
     def test_witnesses_of_mutated_machines_are_violating_runs(self):
@@ -477,7 +491,7 @@ class TestVerify:
                 violations += 1
                 lasso = violation.lasso
                 assert not lasso_oracle(spec, lasso)
-                assert not product_accepts(pa, lasso)
+                assert not eval_lasso(pa.automaton, lasso, pa.table)
                 # the machine emits every output of the word, and its state
                 # comes back to where the loop started
                 state = mutated.initial
@@ -556,7 +570,7 @@ class TestLetterTables:
         pa = build_product(spec)
         assert differential_test(spec, 1, 2, max_aps=4).mismatches == 0
         for lasso in all_lassos(spec.table(), 1, 1):
-            assert lasso_oracle(spec, lasso) == product_accepts(pa, lasso)
+            assert lasso_oracle(spec, lasso) == eval_lasso(pa.automaton, lasso, pa.table)
         assert isinstance(synthesize(spec), Realizable)
 
 
@@ -577,7 +591,7 @@ class TestDifferential:
         pa = build_product(spec)
         mism = sum(
             1 for lasso in all_lassos(spec.table(), 2, 2)
-            if product_accepts(pa, lasso) != lasso_oracle(spec, lasso))
+            if eval_lasso(pa.automaton, lasso, pa.table) != lasso_oracle(spec, lasso))
         report = differential_test(spec, 2, 2)
         assert report.mismatches == mism == 0
 
@@ -655,8 +669,9 @@ class TestDifferential:
         wrong = dataclasses.replace(pa, colours=colours)
         monkeypatch.setattr(pipeline, "build_product", lambda spec, **kw: wrong)
         lassos = list(all_lassos(spec.table(), 1, 2))
-        expected = sum(product_accepts(wrong, lasso) != lasso_oracle(spec, lasso)
-                       for lasso in lassos)
+        expected = sum(
+            eval_lasso(wrong.automaton, lasso, wrong.table) != lasso_oracle(spec, lasso)
+            for lasso in lassos)
         report = differential_test(spec, 1, 2, max_aps=4)
         assert expected > 0
         assert report.checked == len(lassos)
@@ -691,8 +706,9 @@ class TestDifferential:
             # about nine loop words a chunk, so chunks mix loop lengths
             monkeypatch.setattr(pipeline, "_CHUNK_CELLS", chunk_cells)
         lassos = list(all_lassos(spec.table(), 1, 3))
-        expected = sum(product_accepts(wrong, lasso) != lasso_oracle(spec, lasso)
-                       for lasso in lassos)
+        expected = sum(
+            eval_lasso(wrong.automaton, lasso, wrong.table) != lasso_oracle(spec, lasso)
+            for lasso in lassos)
         report = differential_test(spec, 1, 3)
         assert expected > 0
         assert report.checked == len(lassos)

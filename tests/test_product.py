@@ -15,6 +15,7 @@ from rabinsynth.automata import (
 )
 from rabinsynth import product
 from rabinsynth.boolexpr import ApTable, Not, Var
+from rabinsynth.hoa import emit_hoa, parse_hoa
 from rabinsynth.ltl import Persistence, Recurrence, compile_pattern, parse_ltl
 from rabinsynth.product import (
     ASSUMPTION_DEAD,
@@ -31,7 +32,6 @@ from rabinsynth.pipeline import (
     Realizable,
     SpecProblem,
     normalize_problem,
-    product_accepts,
     sampled_differential,
     synthesize,
 )
@@ -155,7 +155,8 @@ class TestBuildProduct:
         assert all(s.awaiting_guarantee == 0 for s in pa.states)
         # accepted exactly when the loop avoids the rejecting tracker state
         for lasso in all_lassos(table, 2, 3):
-            assert product_accepts(pa, lasso) == eval_lasso(guarantee, lasso, table)
+            assert (eval_lasso(pa.automaton, lasso, pa.table)
+                    == eval_lasso(guarantee, lasso, table))
 
     def test_empty_spec(self):
         spec = NormalizedSpec((), ("g",), (), (), (), ())
@@ -164,7 +165,7 @@ class TestBuildProduct:
         assert pa.n_states <= 2
         assert set(pa.colours) == {2}
         for lasso in all_lassos(spec.table(), 1, 2):
-            assert product_accepts(pa, lasso)
+            assert eval_lasso(pa.automaton, lasso, pa.table)
 
     def test_state_bound_on_random_specs(self):
         rng = random.Random(123)
@@ -212,6 +213,24 @@ class TestBuildProduct:
             pa.transitions[0, 0] = 0
         with pytest.raises(ValueError):
             pa.keys[0] = 0
+
+    def test_automaton_reads_the_transition_array(self):
+        for spec in (gf_spec(), robust_spec()):
+            pa = build_product(spec)
+            aut = pa.automaton
+            assert aut is pa.automaton
+            assert np.shares_memory(aut.targets, pa.transitions)
+            assert (aut.table, aut.initial) == (pa.table, pa.initial)
+            assert (aut.acceptance.colours, aut.acceptance.n_colours) == (pa.colours, 5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("unrealizable", [False, True])
+    def test_product_document_reads_back(self, n, unrealizable):
+        pa = build_product(normalize_problem(arbiter_problem(n, unrealizable=unrealizable)))
+        parsed, table = parse_hoa(emit_hoa(pa.automaton, pa.table))
+        assert table == pa.table
+        assert np.array_equal(parsed.targets, pa.transitions)
+        assert parsed.acceptance == pa.automaton.acceptance
 
     def test_states_are_numbered_in_discovery_order(self):
         # reading the array row-major, every new state id is the next one;

@@ -6,7 +6,7 @@ import pytest
 
 from rabinsynth.boolexpr import ApTable
 from rabinsynth.cli import load_spec_problem
-from rabinsynth.game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
+from rabinsynth.game import ENVIRONMENT, SYSTEM, Arena, SynthesisGame, build_game
 from rabinsynth.pipeline import normalize_problem
 from rabinsynth.product import build_product
 from rabinsynth.rand import arbiter_problem, random_game
@@ -14,13 +14,12 @@ from rabinsynth import solvers
 from rabinsynth.solvers import (
     ShapeError,
     Solution,
-    _Arena,
     certify_strategy,
     solve_progress_measures,
     solve_zielonka,
 )
 
-from helpers import env_move, owner, reference_zielonka, same_solution, system_move
+from helpers import env_move, moves, owner, reference_zielonka, same_solution, system_move
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE = ApTable(("r", "g"))
@@ -89,8 +88,8 @@ class TestReferenceIdentity:
         multi_edge_games = 0
         for i in range(600):
             game = random_game(rng, max_states=sizes[i % len(sizes)])
-            moves = np.sort(game.successor_tables()[1], axis=1)
-            multi_edge_games += bool((moves[:, 1:] == moves[:, :-1]).any())
+            rows = np.sort(game.arena.succ[SYSTEM], axis=1)
+            multi_edge_games += bool((rows[:, 1:] == rows[:, :-1]).any())
             assert same_solution(solve_zielonka(game), reference_zielonka(game)), i
         assert multi_edge_games > 300
 
@@ -113,8 +112,8 @@ def random_games(count: int) -> list[SynthesisGame]:
     target by several letters."""
     rng = random.Random(20_261_019)
     games = [random_game(rng, max_states=(3, 20, 150)[i % 3]) for i in range(count)]
-    moves = [np.sort(game.successor_tables()[1], axis=1) for game in games]
-    assert sum(bool((m[:, 1:] == m[:, :-1]).any()) for m in moves) > count // 2
+    rows = [np.sort(game.arena.succ[SYSTEM], axis=1) for game in games]
+    assert sum(bool((r[:, 1:] == r[:, :-1]).any()) for r in rows) > count // 2
     return games
 
 
@@ -125,10 +124,11 @@ def arbiter_games() -> list[SynthesisGame]:
 class TestArena:
     def test_player_tables_view_the_flat_successors(self):
         for game in random_games(20) + arbiter_games():
-            arena = _Arena(game)
-            for player, table in enumerate(game.successor_tables()):
-                assert np.shares_memory(arena.succ[player], arena.succ_flat)
-                assert np.array_equal(arena.succ[player], table)
+            arena = game.arena
+            for player, table in enumerate(arena.succ):
+                assert np.shares_memory(table, arena.succ_flat)
+                assert table.tolist() == [[t for _, t in moves(game, v)]
+                                          for v in range(game.n_vertices)[arena.span[player]]]
 
     def test_solution_arrays_are_read_only(self):
         for game in random_games(6) + arbiter_games():
@@ -141,7 +141,7 @@ class TestArena:
 
     def test_predecessors_follow_the_stable_order(self):
         for game in random_games(60) + arbiter_games():
-            arena = _Arena(game)
+            arena = game.arena
             sources = np.repeat(np.arange(arena.n), arena.degree)
             stable = sources[np.argsort(arena.succ_flat, kind="stable")]
             assert np.array_equal(arena.pred_src, stable)
@@ -165,6 +165,26 @@ class TestArena:
         for game in games + arbiter_games():
             solve_zielonka(game)
         assert calls > 3 * len(games)
+
+    def test_one_arena_per_game(self, monkeypatch):
+        """A solve, a progress-measure run and a certification of one game
+        all read the arena that the first of them builds."""
+        rng = random.Random(20_261_021)
+        games = [random_game(rng, max_states=20) for _ in range(10)]
+        games += [game_of(arbiter_problem(2, unrealizable=u)) for u in (False, True)]
+        built = []
+        build = Arena.__init__
+
+        def counted(arena, game):
+            built.append(game)
+            build(arena, game)
+
+        monkeypatch.setattr(Arena, "__init__", counted)
+        for game in games:
+            solution = solve_zielonka(game)
+            solve_progress_measures(game)
+            assert certify_strategy(game, solution) is None
+        assert built == games
 
 
 class TestCertify:
