@@ -18,6 +18,15 @@ System has won, so the play moves to one absorbing state of colour 0; it wins
 over a failed guarantee.  And a Buchi conjunct that accepts in every state
 outside its losing sinks, as every normalised safety conjunct does, takes no
 slot in its round-robin counter: alive, it accepts at every step.
+
+The product is built in two stages.  The counters and the flag multiply the
+states (the 4-client arbiter has 7,932 states over 206 distinct regions and
+component states), yet they step from the source state alone and never
+change which components follow.  So the first stage explores the
+counter-free product, the reachable (region, component states) tuples, and
+tabulates every tuple's successors; the second explores the product itself,
+adding the counters and the flag to those successors by table lookup.  A
+key space small enough to step whole takes one pass instead.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,8 +177,11 @@ class KeySpace:
     radices: np.ndarray
     tracked: np.ndarray
 
+    def regions(self, keys: np.ndarray) -> np.ndarray:
+        return self.bases[1:].searchsorted(keys, side="right")
+
     def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        region = np.searchsorted(self.bases[1:], keys, side="right")
+        region = self.regions(keys)
         offset = keys - self.bases[region]
         return region, offset[:, None] // self.weights[region] % self.radices[region]
 
@@ -230,15 +242,23 @@ def build_product(
     """Breadth-first construction of the reachable parity product.
 
     A state is keyed by one int64 (see :class:`KeySpace`); the whole key
-    space must fit both int64 and ``state_limit``.  A whole level steps at
-    once: successor keys are a gather-and-sum over the radix-weighted
-    component tables plus a control term per source state, redirected to a
-    dead region wherever a successor component lands in one of its losing
-    sinks.  Each counter advances through a table indexed by its value and
-    the state of the component it awaits.  A small key space is stepped whole
-    before the search.  States are numbered through one int32 array indexed
-    by key, which costs 4 bytes per key of the key space; it is allocated
-    zeroed, so only the pages that reachable keys fall on become resident.
+    space must fit both int64 and ``state_limit``.  A key's *tuple* is its
+    region and component digits.  A successor tuple is a gather-and-sum over
+    the radix-weighted component tables, redirected to a dead region wherever
+    a successor component lands in one of its losing sinks.  The control
+    digits step from the source state alone: each counter advances through a
+    table indexed by its value and the state of the component it awaits.
+
+    The first stage explores the tuples, with the control digits at 0, and
+    tabulates their successors.  The second explores the product a whole
+    level at once: a successor key is the successor tuple's key plus a
+    control term read from a table over (tuple, control digits, successor
+    region).  A key space of at most ``_SMALL_CELLS`` (key, letter) cells is
+    instead stepped whole in one pass before a single search, which there
+    costs less than a second search.  States are numbered through one int32
+    array indexed by key, cleared between the stages.  It costs 4 bytes per
+    key of the key space and is allocated zeroed, so only the pages that
+    reachable keys fall on become resident.
     """
     table, component_tables = validate_normalized(spec)
     components = spec.components
@@ -272,9 +292,10 @@ def build_product(
     lost = [(j, np.array([s in sinks[j] for s in range(len(rows))])[rows])
             for j, rows in enumerate(component_tables) if sinks[j]]
     width = max(radices)  # every digit indexes a row this wide
-    rejecting = np.array([[isinstance(aut.acceptance, CoBuchi) and s in aut.acceptance.rejecting
-                           for s in range(width)] for aut in components],
-                         dtype=bool).reshape(k, width)  # co-Buchi components only
+    rejecting = np.zeros((k, width), dtype=bool)  # co-Buchi components only
+    for j, aut in enumerate(components):
+        if isinstance(aut.acceptance, CoBuchi):
+            rejecting[j, list(aut.acceptance.rejecting)] = True
 
     def advance(counted: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Awaited column per counter value (0 awaits none); next value per (value, its state)."""
@@ -288,30 +309,34 @@ def build_product(
 
     no_letters = np.zeros(table.n_letters, dtype=np.int64)  # broadcasts rows
 
-    def successors(frontier: np.ndarray) -> np.ndarray:
-        """The successor key of every key in ``frontier`` under every letter."""
-        region, digits = key_space.decode(frontier)
-        # the control structure reads only the source state; the digits a
-        # collapsed state does not track only feed keys that are replaced
-        at = np.arange(len(frontier))
-        awaiting_a, awaiting_g, serviced = digits[:, k], digits[:, k + 1], digits[:, k + 2]
-        next_a = advance_a[awaiting_a, digits[at, awaited_a[awaiting_a]]]
-        next_g = advance_g[awaiting_g, digits[at, awaited_g[awaiting_g]]]
-        rejected = rejecting[np.arange(na, k), digits[:, na:k]].any(1)  # by a guarantee
-        serviced = (next_a == 0) | (serviced > rejected)  # a set flag stays unless rejected
-        live_control = next_a * weights[k] + next_g * weights[k + 1] + serviced * weights[k + 2]
+    def tuple_successors(region: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """The successor tuple of every decoded state under every letter, as a
+        key with its control digits at 0."""
+        # the digits a collapsed state does not track only feed keys that are replaced
         assumption_part = sum(
             (weighted_tables[j][digits[:, j]] for j in range(na)), no_letters)
-        assumed = (live + next_a * dead_counter_weight)[:, None] + assumption_part
         guaranteed = sum(
-            (weighted_tables[j][digits[:, j]] for j in range(na, k)),
-            live_control[:, None] + assumption_part)
+            (weighted_tables[j][digits[:, j]] for j in range(na, k)), assumption_part)
         assumption_lost = sum((enters[digits[:, j]] for j, enters in lost if j < na),
                               region[:, None] == ASSUMPTION_DEAD)
         guarantee_lost = sum((enters[digits[:, j]] for j, enters in lost if j >= na),
                              region[:, None] != LIVE)
         return np.where(
-            assumption_lost, sink_key, np.where(guarantee_lost, assumed, guaranteed))
+            assumption_lost, sink_key, np.where(guarantee_lost, live + assumption_part, guaranteed))
+
+    def control_terms(digits: np.ndarray) -> np.ndarray:
+        """Per decoded state, the control term of its successors' keys in each
+        region: the counters and the flag step from the source state alone."""
+        at = np.arange(len(digits))
+        awaiting_a, awaiting_g, serviced = digits[:, k], digits[:, k + 1], digits[:, k + 2]
+        next_a = advance_a[awaiting_a, digits[at, awaited_a[awaiting_a]]]
+        next_g = advance_g[awaiting_g, digits[at, awaited_g[awaiting_g]]]
+        rejected = rejecting[np.arange(na, k), digits[:, na:k]].any(1)  # by a guarantee
+        serviced = (next_a == 0) | (serviced > rejected)  # a set flag stays unless rejected
+        terms = np.zeros((len(digits), 3), dtype=np.int64)  # ASSUMPTION_DEAD keeps none
+        terms[:, LIVE] = next_a * weights[k] + next_g * weights[k + 1] + serviced * weights[k + 2]
+        terms[:, GUARANTEE_DEAD] = next_a * dead_counter_weight
+        return terms
 
     start = [aut.initial for aut in components]
     if any(start[j] in sinks[j] for j in range(na)):
@@ -326,12 +351,67 @@ def build_product(
         raise CapacityExceeded(
             f"product numbering array for key space {sink_key + 1} does not fit in memory"
         ) from None
+
+    if (sink_key + 1) * table.n_letters <= _SMALL_CELLS:  # step every key in one pass
+        every_key = np.arange(sink_key + 1)
+        region, digits = key_space.decode(every_key)
+        successors = tuple_successors(region, digits)
+        successors += control_terms(digits)[every_key[:, None], key_space.regions(successors)]
+        keys, transitions = _explore(number, initial_key, successors.__getitem__)
+    else:
+        # stage 1: the reachable tuples, sorted by key, and their successors
+        tuples, tuple_transitions = _explore(
+            number, initial_key, lambda frontier: tuple_successors(*key_space.decode(frontier)))
+        number[tuples] = 0
+        order = tuples.argsort()
+        tuple_keys, successor_tuples = tuples[order], tuples[tuple_transitions[order]]
+        successor_regions = key_space.regions(successor_tuples)
+        # stage 2: a state's control code is its control digits read as one
+        # number, in which the digits a dead region does not track read 0;
+        # terms[(tuple * codes + code) * 3 + successor region] is a control term
+        codes = prod(radices[k:])
+        code_weights = key_space.weights[:, k]  # per region, the place value of code 1
+        _, digits = key_space.decode(tuple_keys)
+        digits = digits.repeat(codes, axis=0)
+        digits[:, k:] = np.tile(key_space.decode(np.arange(codes) * weights[k])[1][:, k:],
+                                (len(tuple_keys), 1))
+        terms = control_terms(digits).ravel()
+
+        def state_successors(frontier: np.ndarray) -> np.ndarray:
+            region = key_space.regions(frontier)
+            code = (frontier - key_space.bases[region]) // code_weights[region]
+            t = tuple_keys.searchsorted(frontier - code * code_weights[region])
+            rows = successor_regions[t]
+            rows += ((t * codes + code) * 3)[:, None]
+            cells = successor_tuples[t]
+            cells += terms[rows]
+            return cells
+
+        keys, transitions = _explore(number, initial_key, state_successors)
+
+    # colour every state at once; each rule below overrides the ones above it
+    region, digits = key_space.decode(keys)
+    marked, in_live = rejecting[np.arange(k), digits[:, :k]], region == LIVE
+    colours = (digits[:, k] == 0).astype(np.int64)  # 1: the assumption counter is free
+    colours[in_live & (digits[:, k + 1] == 0)] = 2  # the guarantee counter is free
+    colours[in_live & (digits[:, k + 2] == 1) & marked[:, na:].any(1)] = 3  # serviced; rejected
+    colours[marked[:, :na].any(1)] = 4  # a co-Buchi assumption component rejects
+    colours[region == ASSUMPTION_DEAD] = 0  # an assumption has failed: the System has won
+    transitions.flags.writeable = keys.flags.writeable = False
+    return ParityAutomaton(table, len(keys), 0, transitions, tuple(colours.tolist()),
+                           keys, key_space)
+
+
+def _explore(number: np.ndarray, initial_key: int,
+             step: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from ``initial_key``: the reached keys in
+    discovery order, and the transition array over their numbers.
+    ``step(frontier)`` gives the successor key of every frontier key under
+    every letter.  ``number`` must read 0 for every key; it keeps each
+    reached key's number + 1."""
     number[initial_key] = 1
     frontier = np.array([initial_key], dtype=np.int64)
     levels, targets, known = [frontier], [], 1
-    step = successors
-    if (sink_key + 1) * table.n_letters <= _SMALL_CELLS:  # step every key in one pass
-        step = successors(np.arange(sink_key + 1)).__getitem__
     while True:
         # number new keys in (source, letter) order, as a FIFO queue would:
         # each fresh key is first marked with the position of its first cell
@@ -353,17 +433,6 @@ def build_product(
         known += frontier.size
         numbers[fresh] = number[fresh_keys]
         levels.append(frontier)
-
-    # colour every state at once; each rule below overrides the ones above it
-    keys = np.concatenate(levels)
-    region, digits = key_space.decode(keys)
-    marked, in_live = rejecting[np.arange(k), digits[:, :k]], region == LIVE
-    colours = (digits[:, k] == 0).astype(np.int64)  # 1: the assumption counter is free
-    colours[in_live & (digits[:, k + 1] == 0)] = 2  # the guarantee counter is free
-    colours[in_live & (digits[:, k + 2] == 1) & marked[:, na:].any(1)] = 3  # serviced; rejected
-    colours[marked[:, :na].any(1)] = 4  # a co-Buchi assumption component rejects
-    colours[region == ASSUMPTION_DEAD] = 0  # an assumption has failed: the System has won
-    transitions = (np.concatenate(targets) - 1).reshape(len(keys), -1)  # from numbers + 1
-    transitions.flags.writeable = keys.flags.writeable = False
-    return ParityAutomaton(table, len(keys), 0, transitions, tuple(colours.tolist()),
-                           keys, key_space)
+    keys, transitions = np.concatenate(levels), np.concatenate(targets)
+    transitions -= 1  # from numbers + 1
+    return keys, transitions.reshape(len(keys), -1)

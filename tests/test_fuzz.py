@@ -15,7 +15,8 @@ Document seeds are the corpus specs, the 2-client arbiter with an inline
 automaton, and the machines synthesized for the realizable corpus specs.
 Each example replaces, deletes, duplicates, inserts or wraps a few values
 anywhere in one seed's JSON tree.  Mutated machines are also checked end to
-end, by ``rabinsynth verify`` against the spec they were synthesized for.
+end, by ``rabinsynth verify`` against the spec they were synthesized for, and
+mutated specs by ``rabinsynth product``, ``synth`` and ``oracle-test``.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ import io
 import json
 import random
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -260,3 +262,27 @@ def test_verify_command_on_mutated_machines(tmp_path_factory, case):
         witness = json.loads(out.getvalue())["violation"]
         lasso = Lasso(*(tuple(map(table.letter, witness[part])) for part in ("stem", "loop")))
         assert not lasso_oracle(spec, lasso)
+
+
+#: each command with the exit codes a mutated spec may give: an oracle
+#: mismatch (1 from ``oracle-test``) is a fault of the product, never of the spec
+COMMANDS = {"product": (0, 2), "synth": (0, 1, 2),
+            "oracle-test": (0, 2)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_document(spec_seeds()), st.sampled_from(sorted(COMMANDS)))
+def test_commands_on_mutated_specs(tmp_path_factory, doc, command):
+    """``rabinsynth product``, ``synth`` and ``oracle-test`` run a mutated spec
+    to an outcome or a documented error: no internal error (exit 3) and no
+    exception escapes."""
+    workdir = tmp_path_factory.getbasetemp()
+    shutil.copy(CORPUS / "gf_r.hoa", workdir)  # the automaton file a seed names
+    spec = workdir / "spec.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, str(spec)]
+    if command == "oracle-test":
+        argv += ["--max-stem", "1", "--max-loop", "2", "--max-aps", "4"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in COMMANDS[command]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -298,6 +299,18 @@ class TestReferenceProduct:
                 random_normalized_spec(rng) if i % 3 else random_normalized_spec(
                     rng, max_conjuncts_per_side=3, max_component_states=4))
 
+    # with no key space small enough to be stepped whole in one pass, every
+    # spec goes through both stages (the arbiters do at any threshold)
+    @pytest.mark.parametrize("n, unrealizable", [
+        (2, False), (2, True), (3, False), (3, True)])
+    def test_arbiters_in_two_stages(self, n, unrealizable, monkeypatch):
+        monkeypatch.setattr(product, "_SMALL_CELLS", 0)
+        self.test_arbiters(n, unrealizable)
+
+    def test_random_specs_in_two_stages(self, monkeypatch):
+        monkeypatch.setattr(product, "_SMALL_CELLS", 0)
+        self.test_random_specs()
+
 
 class TestNumbering:
     """States are numbered in breadth-first discovery order, checked on the
@@ -355,6 +368,34 @@ class TestNumbering:
         monkeypatch.setattr(product, "_INT32_MAX", 100)
         with pytest.raises(CapacityExceeded, match="overflows int32 state numbers"):
             build_product(spec)
+
+
+class TestTwoStages:
+    """The first stage explores the counter-free product, the second adds the
+    counters and the flag by table lookup."""
+
+    @pytest.mark.parametrize("n, unrealizable, tuples", [
+        (2, False, 20), (2, True, 23), (3, False, 63), (3, True, 72),
+        (4, False, 206), (4, True, 233)])
+    def test_counter_free_tuples(self, n, unrealizable, tuples):
+        pa = build_product(normalize_problem(arbiter_problem(n, unrealizable=unrealizable)))
+        assert len({(s.region, s.components) for s in pa.states}) == tuples
+
+    # digests of the product that a one-stage search built: the reference
+    # product is too slow at this size
+    @pytest.mark.parametrize("unrealizable, transitions, colours, keys", [
+        (False, "3e683c1edfcf2052a32db62b3f0a597b1e50657cd0f20ce068749a2293804e7a",
+         "a2044d0246e29756dd2c0506bb99036efcfae81599f1fb6a0aa82e096f81f4be",
+         "3b6e29f65d236538b544d988e99ff8d32d1ce57c476da280476b2703f503d694"),
+        (True, "1b92e7ae3b3e3a4ac63c410b9488d0b94b0332d03519559921ae8541590a5502",
+         "c7138df87dd2a7db58bae490df0413fda150d963a8425650da65fc8dd2329727",
+         "80ae062f2d6664f51d3785e02e575d5356acb0be592910aa164912d9d6f36c0f")],
+        ids=["realizable", "unrealizable"])
+    def test_four_client_arbiter_is_unchanged(self, unrealizable, transitions, colours, keys):
+        pa = build_product(normalize_problem(arbiter_problem(4, unrealizable=unrealizable)))
+        assert hashlib.sha256(pa.transitions.astype("<i4").tobytes()).hexdigest() == transitions
+        assert hashlib.sha256(bytes(pa.colours)).hexdigest() == colours
+        assert hashlib.sha256(pa.keys.astype("<i8").tobytes()).hexdigest() == keys
 
 
 def ltl_problem(inputs, outputs, assumptions, guarantees) -> SpecProblem:
