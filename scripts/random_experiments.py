@@ -4,7 +4,8 @@ trip of each random spec's product, a minimality check of every machine
 synthesized for the random specs, the exhaustive differential oracle on the
 2- and 3-client arbiters, a sampled lasso differential on the 3- and
 4-client arbiters (with each arbiter's product size, product build time and
-synthesis time), and solver cross-checks on freshly generated instances.
+synthesis time), solver cross-checks on freshly generated instances, and the
+certification of the solved 2- to 4-client arbiter games in both variants.
 
 Examples:
     python scripts/random_experiments.py --specs 200 --games 500 --seed 7
@@ -18,6 +19,7 @@ import random
 import sys
 import time
 
+from rabinsynth.game import build_game
 from rabinsynth.hoa import emit_hoa, parse_hoa
 from rabinsynth.pipeline import (
     Realizable, differential_test, normalize_problem, sampled_differential, synthesize)
@@ -41,6 +43,10 @@ ARBITER_LASSOS = 2000
 #: on, over all 2 * clients propositions, at stems of at most 1 letter and
 #: loops of at most 2.
 EXHAUSTIVE_ARBITERS = ((2, False), (2, True), (3, False), (3, True))
+
+#: (clients, unrealizable variant) of the arbiters whose solved games are
+#: certified.
+CERTIFIED_ARBITERS = tuple((n, u) for n in (2, 3, 4) for u in (False, True))
 
 
 def run_differential(args) -> int:
@@ -162,6 +168,28 @@ def run_solver_cross_check(args) -> int:
     return disagreements
 
 
+def run_arbiter_certificates() -> int:
+    """Certify the Zielonka solution of each arbiter game, 2 to 4 clients in
+    both variants; each certification is timed on its own."""
+    failures = 0
+    times = []
+    for n, unrealizable in CERTIFIED_ARBITERS:
+        spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
+        game = build_game(build_product(spec), spec.inputs, spec.outputs)
+        solution = solve_zielonka(game)
+        started = time.perf_counter()
+        counterexample = certify_strategy(game, solution)
+        elapsed = time.perf_counter() - started
+        name = f"{'unrealizable ' if unrealizable else ''}{n}-client"
+        if counterexample is not None:
+            failures += 1
+            print(f"  {name} arbiter: certification failed: {counterexample.reason}")
+        times.append(f"{name} {game.n_vertices} vertices {elapsed:.3f}s")
+    print(f"arbiter certificates: {len(CERTIFIED_ARBITERS)} arbiters, {failures} "
+          f"disagreements; {'; '.join(times)}")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--specs", type=int, default=100)
@@ -172,7 +200,8 @@ def main() -> int:
     parser.add_argument("--max-game-states", type=int, default=50)
     args = parser.parse_args()
     bad = (run_differential(args) + run_arbiter_oracle()
-           + run_arbiter_lassos(args) + run_solver_cross_check(args))
+           + run_arbiter_lassos(args) + run_solver_cross_check(args)
+           + run_arbiter_certificates())
     return 1 if bad else 0
 
 

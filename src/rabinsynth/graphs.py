@@ -1,9 +1,13 @@
 """Small graph helpers shared by machine extraction, minimisation, the
-strategy certifier and the machine verifier."""
+strategy certifier and the machine verifier: one breadth-first numbering,
+its tree paths, and one array search for a cycle of a given maximum
+colour."""
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 
 def breadth_first(start, successors: Callable[[Any], Iterable]) -> tuple[list, list[list[int]]]:
@@ -26,58 +30,6 @@ def breadth_first(start, successors: Callable[[Any], Iterable]) -> tuple[list, l
     return order, rows
 
 
-def strongly_connected_components(
-    vertices: Iterable[int],
-    successors: Callable[[int], Sequence[int]],
-) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to cope with long chains."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(successors(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
-
-
 def tree_path(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     """The path from vertex 0 to ``target`` in the breadth-first tree of
     ``rows`` (as :func:`breadth_first` returns them): each vertex is reached
@@ -92,39 +44,45 @@ def tree_path(rows: Sequence[Sequence[int]], target: int) -> list[int]:
     return path[::-1]
 
 
-def find_max_colour_cycle(
-    vertices: Iterable[int],
-    successors: Callable[[int], Sequence[int]],
-    colour: Callable[[int], int],
+def max_colour_cycle(
+    succ: np.ndarray,
+    ptr: np.ndarray,
+    colour: np.ndarray,
+    inside: np.ndarray,
     colours: Iterable[int],
 ) -> tuple[int, list[int]] | None:
-    """First cycle whose maximum colour is one of ``colours``, tried in order.
+    """First cycle inside the mask ``inside`` whose maximum colour is one of
+    ``colours``, tried in order; ``(d, cycle)`` with the closing edge
+    implicit, or ``None``.
 
-    For each ``d``, the non-trivial SCCs of the subgraph on vertices of colour
-    at most ``d`` are searched (in Tarjan order over ``vertices``) for one
-    holding a colour-``d`` vertex; the cycle starts at the smallest such
-    vertex.  Returns ``(d, cycle)`` with the closing edge implicit, or
-    ``None``.
+    Vertex ``v`` has the successors ``succ[ptr[v]:ptr[v + 1]]``, at least
+    one each.  For each ``d``, Emerson and Lei's fixpoint keeps the vertices
+    of colour at most ``d`` that reach a colour-``d`` vertex kept in one step
+    or more; it is non-empty exactly when such a cycle exists.  The cycle
+    starts at the smallest colour-``d`` vertex whose breadth-first walk in
+    the fixpoint comes back, and closes at the walk's first vertex with an
+    edge back.
     """
-    vertices = list(vertices)
+    starts = ptr[:-1]
     for d in colours:
-        sub = [v for v in vertices if colour(v) <= d]
-        sub_set = set(sub)
-
-        def sub_succ(v: int) -> list[int]:
-            return [t for t in successors(v) if t in sub_set]
-
-        for component in strongly_connected_components(sub, sub_succ):
-            witnesses = [v for v in component if colour(v) == d]
-            if not witnesses:
-                continue
-            if len(component) == 1 and component[0] not in sub_succ(component[0]):
-                continue
-            # the cycle closes at the first vertex, breadth-first from the
-            # witness, with an edge back to it
-            inside = set(component)
-            order, rows = breadth_first(
-                min(witnesses), lambda v: [t for t in successors(v) if t in inside])
-            closing = next(i for i, row in enumerate(rows) if 0 in row)
-            return d, [order[i] for i in tree_path(rows, closing)]
+        kept = inside & (colour <= d)
+        while (target := kept & (colour == d)).any():
+            # widen the kept vertices with a path of one step or more to a
+            # target, one gather of the successors a step
+            reach = np.zeros_like(kept)
+            while True:
+                wider = kept & np.logical_or.reduceat((target | reach)[succ], starts)
+                if np.array_equal(wider, reach):
+                    break
+                reach = wider
+            if np.array_equal(reach, kept):
+                succ_list, ptr_list, in_kept = succ.tolist(), ptr.tolist(), kept.tolist()
+                for w in target.nonzero()[0].tolist():
+                    order, rows = breadth_first(w, lambda v: [
+                        t for t in succ_list[ptr_list[v]:ptr_list[v + 1]] if in_kept[t]])
+                    closing = next((i for i, row in enumerate(rows) if 0 in row), None)
+                    if closing is not None:
+                        return d, [order[i] for i in tree_path(rows, closing)]
+                raise AssertionError("no target of the fixpoint lies on a cycle")
+            kept = reach
     return None

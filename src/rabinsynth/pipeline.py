@@ -25,7 +25,7 @@ from .game import ENVIRONMENT, SYSTEM, SynthesisGame, build_game
 from .hoa import parse_hoa
 from .ltl import compile_pattern, normalize, parse_ltl, unnameable
 from .mealy import MealyMachine, _minimise
-from .graphs import breadth_first, find_max_colour_cycle, tree_path
+from .graphs import breadth_first, max_colour_cycle, tree_path
 from .product import (
     CapacityExceeded,
     NormalizedSpec,
@@ -195,7 +195,8 @@ def verify_mealy(machine: MealyMachine, pa: ParityAutomaton) -> Violation | None
 
     Explores the synchronous product of machine and automaton and reports a
     concrete lasso witness whenever some reachable cycle has an odd maximum
-    colour (checked per odd colour on the subgraph of colours up to it).
+    colour: the loop goes once round the cycle that
+    :func:`~rabinsynth.graphs.max_colour_cycle` finds for colour 1, else 3.
     Raises :class:`ValueError` unless every state has one transition per
     input letter, each to a state of the machine with an output letter.
     """
@@ -221,8 +222,9 @@ def verify_mealy(machine: MealyMachine, pa: ParityAutomaton) -> Violation | None
 
     # node i is the pair order[i]; its input x leads to node rows[i][x]
     order, rows = breadth_first((machine.initial, pa.initial), step)
-    found = find_max_colour_cycle(
-        range(len(order)), rows.__getitem__, lambda v: pa.colours[order[v][1]], (1, 3))
+    found = max_colour_cycle(
+        np.array(rows).ravel(), np.arange(0, len(rows) * n_inputs + 1, n_inputs),
+        np.array([pa.colours[q] for _, q in order]), np.ones(len(rows), dtype=bool), (1, 3))
     if found is None:
         return None
     cycle = found[1]

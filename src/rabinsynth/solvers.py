@@ -6,7 +6,8 @@ region for cross-checking.  Both operate on the bipartite letter-labelled
 games of :mod:`rabinsynth.game` with the convention that the System wins a
 play iff the maximum colour occurring infinitely often is even.  All of them
 read the game's one array arena (:class:`~rabinsynth.game.Arena`); Zielonka
-recurses on vertex masks and attracts a breadth-first level at a time.
+recurses on vertex masks and attracts a breadth-first level at a time, and
+the certifier hands each claim's restricted arena to one array cycle check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import ENVIRONMENT, SYSTEM, Arena, SynthesisGame
-from .graphs import find_max_colour_cycle
+from .graphs import max_colour_cycle
 
 
 class ShapeError(Exception):
@@ -216,9 +217,12 @@ def certify_strategy(
     """Independently check a solution.
 
     Fixes each player's strategy inside their region, leaves the opponent
-    free, and searches for a cycle won by the opponent (odd maximum colour
-    inside the System region, even maximum colour inside the Environment
-    region).  Returns ``None`` when both claims hold.  Structural problems
+    free, and checks the System claim, then the Environment one.  A claim
+    fails on the first edge, by vertex and letter, that leaves the region,
+    or on a cycle in it whose maximum colour has the claimant's parity (odd
+    for the System): for the first such colour ``d``, the cycle from the
+    smallest colour-``d`` vertex on one (:func:`~rabinsynth.graphs.max_colour_cycle`).
+    Returns ``None`` when both claims hold.  Structural problems
     (arrays that do not fit the game, wrong strategy domain, choices
     leaving the owning region) raise :class:`ShapeError`.
     """
@@ -243,25 +247,20 @@ def certify_strategy(
         if leaving.size:
             raise ShapeError(f"{claim} strategy leaves its region at vertex {leaving[0]}")
 
-    # the graph searches read the arena's arrays as flat Python lists
-    colour, succ, succ_ptr = (a.tolist() for a in (
-        arena.colour, arena.succ_flat, arena.succ_ptr))
+    # each claim's arena: every edge of a vertex with a move leads to its target
+    edges = np.arange(arena.succ_flat.size)
+    first_edge = np.repeat(arena.succ_ptr[:-1], arena.degree)
     for claim, player, inside in claims:
-        moves = strategy[player].tolist()
+        move = np.repeat(strategy[player], arena.degree)
+        restricted = arena.succ_flat[np.where(move >= 0, first_edge + move, edges)]
+        escapes = (np.repeat(inside, arena.degree) & ~inside[restricted]).nonzero()[0]
+        if escapes.size:
+            v = int(np.searchsorted(arena.succ_ptr, escapes[0], side="right")) - 1
+            return StrategyCounterexample(
+                claim, (v, int(restricted[escapes[0]])), "region is not closed under the opponent")
 
-        def restricted(v: int) -> list[int]:
-            targets = succ[succ_ptr[v]:succ_ptr[v + 1]]
-            return [targets[moves[v]]] if moves[v] >= 0 else targets
-
-        members = inside.nonzero()[0].tolist()
-        for v in members:
-            for t in restricted(v):
-                if not inside[t]:
-                    return StrategyCounterexample(
-                        claim, (v, t), "region is not closed under the opponent")
-
-        found = find_max_colour_cycle(
-            members, restricted, colour.__getitem__, range(player, 5, 2))
+        found = max_colour_cycle(
+            restricted, arena.succ_ptr, arena.colour, inside, range(player, 5, 2))
         if found is not None:
             d, cycle = found
             return StrategyCounterexample(

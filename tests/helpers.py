@@ -6,6 +6,8 @@ a larger table one letter at a time by proposition name, lasso verdicts
 are computed by long-run simulation instead of boundary cycle detection,
 pattern semantics are decided by direct position analysis on the lasso,
 parity games are solved by a FIFO worklist attractor over Python lists,
+cycles of a given maximum colour are found by one breadth-first walk per
+vertex and strategies certified on them,
 the parity product is built by a breadth-first search over ``ProductState``
 values one state and one letter at a time, and machine files are written
 with one ``json.dumps`` per transition.
@@ -388,6 +390,56 @@ def reference_zielonka(game: SynthesisGame) -> Solution:
     for player, moves in enumerate(strategies):
         strategy[player, list(moves)] = list(moves.values())
     return Solution(winner, strategy)
+
+
+def reference_cycle_colours(succ: list[list[int]], colour: list[int],
+                            inside: list[bool], colours) -> list[int]:
+    """The colours ``d`` of ``colours`` for which some cycle inside ``inside``
+    has maximum colour ``d``: some colour-``d`` vertex comes back to itself
+    in a breadth-first walk over the vertices of colour at most ``d``."""
+    found = []
+    for d in colours:
+        allowed = [inside[v] and colour[v] <= d for v in range(len(succ))]
+        for v in range(len(succ)):
+            if not allowed[v] or colour[v] != d:
+                continue
+            seen = set()
+            queue = deque(t for t in succ[v] if allowed[t])
+            while queue and v not in seen:
+                w = queue.popleft()
+                if w not in seen:
+                    seen.add(w)
+                    queue.extend(t for t in succ[w] if allowed[t])
+            if v in seen:
+                found.append(d)
+                break
+    return found
+
+
+def restricted_successors(game: SynthesisGame, solution: Solution, player: int) -> list[list[int]]:
+    """Each vertex's successors once ``player``'s strategy is fixed: its move
+    where the strategy has one, every move elsewhere."""
+    succ = []
+    for v in range(game.n_vertices):
+        letter = int(solution.strategy[player, v])
+        succ.append([t for y, t in moves(game, v) if letter < 0 or y == letter])
+    return succ
+
+
+def reference_certify(game: SynthesisGame, solution: Solution) -> str | None:
+    """The first claim, ``"system"`` then ``"environment"``, that the solution
+    fails to prove, or ``None``: a claim fails if the opponent can leave the
+    player's region, or if a cycle in the region under the player's strategy
+    has a maximum colour of the player's own parity (odd for the System)."""
+    colours = [colour(game, v) for v in range(game.n_vertices)]
+    for claim, player in (("system", SYSTEM), ("environment", ENVIRONMENT)):
+        inside = [int(w) == player for w in solution.winner]
+        succ = restricted_successors(game, solution, player)
+        if any(inside[v] and not inside[t] for v in range(len(succ)) for t in succ[v]):
+            return claim
+        if reference_cycle_colours(succ, colours, inside, range(player, 5, 2)):
+            return claim
+    return None
 
 
 def same_solution(a: Solution, b: Solution) -> bool:

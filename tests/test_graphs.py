@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from rabinsynth.graphs import breadth_first, find_max_colour_cycle, tree_path
+from rabinsynth.graphs import breadth_first, max_colour_cycle, tree_path
+
+from helpers import reference_cycle_colours
 
 # (successor lists, colours, colours to check, expected (d, cycle) or None)
 CASES = {
@@ -21,17 +24,62 @@ CASES = {
 }
 
 
+def csr(succ: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Successor lists as the flat successor array and its row pointers."""
+    return (np.array([t for row in succ for t in row], dtype=np.intp),
+            np.cumsum([0] + [len(row) for row in succ]))
+
+
+def assert_cycle(succ, colour, inside, d, cycle):
+    """``cycle`` is a cycle of ``succ``, closing edge included, inside the
+    mask, with maximum colour ``d``."""
+    for i, v in enumerate(cycle):
+        assert cycle[(i + 1) % len(cycle)] in succ[v]
+        assert inside[v]
+    assert max(colour[v] for v in cycle) == d
+
+
 @pytest.mark.parametrize("succ, colour, colours, expected",
                          CASES.values(), ids=CASES.keys())
 def test_find_max_colour_cycle(succ, colour, colours, expected):
-    found = find_max_colour_cycle(
-        range(len(succ)), succ.__getitem__, colour.__getitem__, colours)
+    inside = [True] * len(succ)
+    found = max_colour_cycle(*csr(succ), np.array(colour), np.array(inside), colours)
     assert found == expected
     if found is not None:
-        d, cycle = found
-        for i, v in enumerate(cycle):
-            assert cycle[(i + 1) % len(cycle)] in succ[v]
-        assert max(colour[v] for v in cycle) == d
+        assert_cycle(succ, colour, inside, *found)
+
+
+def test_cycles_agree_with_the_reference_on_random_graphs():
+    rng = random.Random(20_261_020)
+    cycles = 0
+    for _ in range(400):
+        size = rng.randrange(1, 14)
+        succ = []
+        for v in range(size):
+            row = [rng.randrange(size) for _ in range(rng.randrange(1, 4))]
+            if rng.random() < 0.2:
+                row.append(v)  # a self-loop
+            if rng.random() < 0.2:
+                row.append(row[0])  # a repeated successor
+            succ.append(row)
+        colour = [rng.randrange(5) for _ in range(size)]
+        inside = [rng.random() < 0.8 for _ in range(size)]
+        arrays = (*csr(succ), np.array(colour), np.array(inside))
+        expected = reference_cycle_colours(succ, colour, inside, range(5))
+        for d in range(5):
+            found = max_colour_cycle(*arrays, (d,))
+            assert (found is not None) == (d in expected)
+            if found is not None:
+                assert found[0] == d
+                assert_cycle(succ, colour, inside, *found)
+                cycles += 1
+        colours = rng.sample(range(5), rng.randrange(1, 6))
+        found = max_colour_cycle(*arrays, colours)
+        first = next((d for d in colours if d in expected), None)
+        assert (None if found is None else found[0]) == first
+        if found is not None:
+            assert_cycle(succ, colour, inside, *found)
+    assert cycles > 300
 
 
 BREADTH_FIRST_CASES = {

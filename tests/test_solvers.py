@@ -19,7 +19,17 @@ from rabinsynth.solvers import (
     solve_zielonka,
 )
 
-from helpers import env_move, moves, owner, reference_zielonka, same_solution, system_move
+from helpers import (
+    colour,
+    env_move,
+    moves,
+    owner,
+    reference_certify,
+    reference_zielonka,
+    restricted_successors,
+    same_solution,
+    system_move,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TABLE = ApTable(("r", "g"))
@@ -187,6 +197,25 @@ class TestArena:
         assert built == games
 
 
+def assert_counterexample(game: SynthesisGame, solution: Solution, found) -> None:
+    """``found`` refutes its claim: a restricted edge leaving the claimed
+    region, or a restricted cycle in it whose maximum colour has the
+    claiming player's parity."""
+    player = SYSTEM if found.claim == "system" else ENVIRONMENT
+    succ = restricted_successors(game, solution, player)
+    inside = solution.winner == player
+    if found.reason == "region is not closed under the opponent":
+        v, t = found.vertices
+        assert inside[v] and not inside[t] and t in succ[v]
+        return
+    cycle = found.vertices
+    for i, v in enumerate(cycle):
+        assert inside[v] and cycle[(i + 1) % len(cycle)] in succ[v]
+    top = max(colour(game, v) for v in cycle)
+    assert top % 2 == player
+    assert found.reason == f"cycle with maximum colour {top} defeats the {found.claim} claim"
+
+
 class TestCertify:
     def game_and_solution(self):
         rng = random.Random(99)
@@ -263,6 +292,62 @@ class TestCertify:
         except ShapeError:
             return
         assert result is not None
+        assert result.claim == reference_certify(game, swapped)
+        assert_counterexample(game, swapped, result)
+
+    def test_region_left_by_the_opponent_is_not_closed(self):
+        """A System vertex moved out of the System region, where its state
+        stays: the first edge out of the region, by vertex and letter,
+        refutes the System claim."""
+        rng = random.Random(20_261_022)
+        flipped = 0
+        for _ in range(300):
+            game = random_game(rng, max_states=12)
+            solution = solve_zielonka(game)
+            region = [v for v in solution.system_region.tolist() if owner(game, v) == SYSTEM
+                      and solution.winner[(v - game.n_states) >> game.input_bits] == SYSTEM]
+            if not region:
+                continue
+            t = rng.choice(region)
+            winner, strategy = solution.winner.copy(), solution.strategy.copy()
+            winner[t], strategy[SYSTEM, t] = ENVIRONMENT, -1
+            claimed = Solution(winner, strategy)
+            result = certify_strategy(game, claimed)
+            assert result.claim == reference_certify(game, claimed) == "system"
+            assert result.reason == "region is not closed under the opponent"
+            assert_counterexample(game, claimed, result)
+            assert result.vertices == next(
+                (v, w) for v in range(game.n_vertices) if winner[v] == SYSTEM
+                for _, w in moves(game, v) if winner[w] == ENVIRONMENT)
+            flipped += 1
+        assert flipped > 100
+
+    def test_mutated_strategies_match_the_reference(self):
+        """One strategy letter per player changed to another move that stays
+        in the region: certification agrees with the reference, and every
+        counterexample refutes its claim."""
+        rng = random.Random(20_261_020)
+        rejected = 0
+        for _ in range(1000):
+            game = random_game(rng, max_states=12)
+            solution = solve_zielonka(game)
+            strategy = solution.strategy.copy()
+            for player in (ENVIRONMENT, SYSTEM):
+                domain = (strategy[player] >= 0).nonzero()[0].tolist()
+                if not domain:
+                    continue
+                v = rng.choice(domain)
+                letters = [y for y, t in moves(game, v)
+                           if solution.winner[t] == player and y != strategy[player, v]]
+                if letters:
+                    strategy[player, v] = rng.choice(letters)
+            mutated = Solution(solution.winner, strategy)
+            result = certify_strategy(game, mutated)
+            assert (None if result is None else result.claim) == reference_certify(game, mutated)
+            if result is not None:
+                assert_counterexample(game, mutated, result)
+                rejected += 1
+        assert rejected > 100
 
 
 class TestMonotonicityRegression:
