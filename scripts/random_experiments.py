@@ -5,7 +5,8 @@ synthesized for the random specs, the exhaustive differential oracle on the
 2- and 3-client arbiters, a sampled lasso differential on the 3- and
 4-client arbiters (with each arbiter's product size, product build time and
 synthesis time), solver cross-checks on freshly generated instances, and the
-certification of the solved 2- to 4-client arbiter games in both variants.
+solve and certification of the 2- to 4-client arbiter games in both
+variants, with each arena's letter-edge and predecessor-entry counts.
 
 Examples:
     python scripts/random_experiments.py --specs 200 --games 500 --seed 7
@@ -169,24 +170,29 @@ def run_solver_cross_check(args) -> int:
 
 
 def run_arbiter_certificates() -> int:
-    """Certify the Zielonka solution of each arbiter game, 2 to 4 clients in
-    both variants; each certification is timed on its own."""
+    """Solve and certify each arbiter game, 2 to 4 clients in both variants;
+    the solve (with the arena it builds) and the certification are timed on
+    their own, and the arena's letter edges and its predecessor entries, one
+    per distinct (source, target) pair, are counted."""
     failures = 0
     times = []
     for n, unrealizable in CERTIFIED_ARBITERS:
         spec = normalize_problem(arbiter_problem(n, unrealizable=unrealizable))
         game = build_game(build_product(spec), spec.inputs, spec.outputs)
-        solution = solve_zielonka(game)
         started = time.perf_counter()
+        solution = solve_zielonka(game)
+        solved = time.perf_counter()
         counterexample = certify_strategy(game, solution)
-        elapsed = time.perf_counter() - started
+        certified = time.perf_counter()
         name = f"{'unrealizable ' if unrealizable else ''}{n}-client"
         if counterexample is not None:
             failures += 1
             print(f"  {name} arbiter: certification failed: {counterexample.reason}")
-        times.append(f"{name} {game.n_vertices} vertices {elapsed:.3f}s")
+        times.append(f"{name} {game.n_vertices} vertices, {game.arena.succ_flat.size} "
+                     f"letter edges, {game.arena.pred_src.size} predecessor entries, "
+                     f"solve {solved - started:.3f}s, certify {certified - solved:.3f}s")
     print(f"arbiter certificates: {len(CERTIFIED_ARBITERS)} arbiters, {failures} "
-          f"disagreements; {'; '.join(times)}")
+          f"disagreements;\n  " + ";\n  ".join(times))
     return failures
 
 

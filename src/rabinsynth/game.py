@@ -80,12 +80,17 @@ class SynthesisGame:
 class Arena:
     """The game as integer arrays.  Player ``p`` owns the vertices in
     ``span[p]``, Environment vertices first.
-    ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` holds the move targets of
-    vertex ``v`` by letter, ``degree[v]`` (int32) moves; ``succ[p]`` views
-    the same storage as a table, ``succ[p][v - span[p].start]`` the row of
-    ``p``'s vertex ``v``.
-    ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the source of every edge
-    into ``v`` (``pred_count[v]`` edges), by source vertex and then letter.
+
+    Moves, one per letter: ``succ_flat[succ_ptr[v]:succ_ptr[v + 1]]`` holds
+    the move targets of vertex ``v`` by letter, ``degree[v]`` (int32) moves;
+    ``succ[p]`` views the same storage as a table, ``succ[p][v - span[p].start]``
+    the row of ``p``'s vertex ``v``.  Strategies are letters of these rows.
+
+    Edges, one per distinct (source, target) pair, however many letters make
+    the move: ``pred_src[pred_ptr[v]:pred_ptr[v + 1]]`` lists the distinct
+    sources of the edges into ``v`` (``pred_count[v]`` of them), ascending,
+    and ``succ_count[v]`` (int32) is the number of distinct targets of ``v``.
+
     ``owned[p]`` marks ``p``'s vertices, and ``sign[p]`` is -1 on them and 1
     elsewhere.
     """
@@ -109,14 +114,23 @@ class Arena:
                      self.succ_flat[n_system:].reshape(n_system, game.n_outputs))
         self.degree = np.repeat(np.int32([game.n_inputs, game.n_outputs]), [n_env, n_system])
         self.succ_ptr = np.concatenate([[0], self.degree.cumsum()])
-        # one in-place sort of (target, source) keys: equal keys differ only
-        # in the letter, so each target lists its sources in succ_flat order
-        self.pred_src = pred = np.repeat(np.arange(n), self.degree)
-        pred += np.multiply(self.succ_flat, n, dtype=np.int64)
-        pred.sort()
-        pred %= n
-        self.pred_count = np.bincount(self.succ_flat, minlength=n)
-        self.pred_ptr = np.concatenate([[0], self.pred_count.cumsum()])
+        # one in-place sort of the (target, source) keys of all moves; a key
+        # repeats once per further letter to the same target, so dropping
+        # the repeats leaves the edges.  They go back into the first buffer,
+        # as large as with one entry per letter: a smaller array of their
+        # own changed the heap that a later oracle run in the same process
+        # allocates from, and cost that run page faults (measured)
+        sources = np.repeat(np.arange(n), self.degree)
+        keys = np.multiply(self.succ_flat, n, dtype=np.int64)
+        keys += sources
+        keys.sort()
+        first = np.concatenate([[True], keys[1:] != keys[:-1]])
+        keys = np.compress(first, keys, out=sources[:np.count_nonzero(first)])
+        self.pred_ptr = np.searchsorted(keys, np.arange(0, n * n + 1, n))
+        self.pred_count = np.diff(self.pred_ptr)
+        keys %= n
+        self.pred_src = keys
+        self.succ_count = np.bincount(keys, minlength=n).astype(np.int32)
 
     def successors(self, vertices: np.ndarray, player: int) -> np.ndarray:
         """Move-target rows of vertices that all belong to ``player``."""

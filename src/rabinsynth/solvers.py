@@ -6,8 +6,9 @@ region for cross-checking.  Both operate on the bipartite letter-labelled
 games of :mod:`rabinsynth.game` with the convention that the System wins a
 play iff the maximum colour occurring infinitely often is even.  All of them
 read the game's one array arena (:class:`~rabinsynth.game.Arena`); Zielonka
-recurses on vertex masks and attracts a breadth-first level at a time, and
-the certifier hands each claim's restricted arena to one array cycle check.
+recurses on vertex masks and attracts a breadth-first level at a time over
+the arena's distinct edges, and the certifier hands each claim's restricted
+arena to one array cycle check.
 """
 
 from __future__ import annotations
@@ -68,15 +69,18 @@ _NO_TRIGGER = np.iinfo(np.intp).min  # below every edge key
 def _attract(arena: Arena, mask: np.ndarray, degree: np.ndarray, targets: np.ndarray,
              player: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vertices from which ``player`` can force a visit to ``targets`` in the
-    subgame on ``mask``, whose vertices have the out-degrees ``degree``.
+    subgame on ``mask``, whose vertices have ``degree`` (int32) distinct
+    successors in it.
 
-    Attracts in the order of a FIFO worklist seeded with ``targets``: the
-    targets take positions in the given order, each later level in the order
-    (position of the trigger, vertex id).  A player vertex's trigger is its
-    successor of least position, an opponent vertex's its last masked one.
+    Attracts in the order of a FIFO worklist seeded with ``targets``, one
+    breadth-first level at a time over the arena's edges: the targets take
+    positions in the given order, each later level in the order (position of
+    the trigger, vertex id).  A player vertex's trigger is its successor of
+    least position, an opponent vertex's its last masked one; how many
+    letters lead to a successor changes neither.
     Returns the attractor mask, the player's newly attracted vertices with
     their first move letters to a vertex of smaller position, and the
-    out-degrees in the rest of the subgame.
+    distinct successor counts in the rest of the subgame.
     """
     n = arena.n
     position = np.full(n, n, dtype=np.intp)  # n: not attracted
@@ -88,14 +92,14 @@ def _attract(arena: Arena, mask: np.ndarray, degree: np.ndarray, targets: np.nda
     # edges still needed: one for the player, every masked one for the opponent
     remaining = np.where(mine, np.int32(1), degree)
     # edge keys (below vertices x edges, well inside int64) grow with the
-    # target's position, then the pred order; negated for the player, one
+    # target's position, then the source; negated for the player, one
     # maximum picks a player vertex's first edge in and an opponent's last
     sign = arena.sign[player]
     trigger = np.full(n, _NO_TRIGGER)
     found = len(targets)
     level = targets
     while level.size and found < n_masked:
-        # edges into the level, by target position, then source and letter
+        # edges into the level, by target position, then source
         counts = arena.pred_count[level]
         ends = counts.cumsum()
         edges = ((arena.pred_ptr[level] - ends + counts).repeat(counts)
@@ -124,37 +128,49 @@ def _attract(arena: Arena, mask: np.ndarray, degree: np.ndarray, targets: np.nda
 
 def _solve(arena: Arena, mask: np.ndarray, degree: np.ndarray, region: np.ndarray,
            strategy: np.ndarray) -> None:
-    """Solve the subgame on ``mask``, whose vertices have the out-degrees
-    ``degree``, in place: ``region[v]`` is set to the winner of each vertex,
-    ``strategy[p, v]`` to the move letter of each of ``p``'s vertices in
-    ``p``'s region.  ``strategy`` is -1 ("no move") on the subgame on entry
-    and on the rest of the subgame on return."""
-    if not mask.any():
-        return
-    top_colour = arena.colour[mask].max()
-    winner = SYSTEM if top_colour % 2 == 0 else ENVIRONMENT
-    opponent = 1 - winner
-    top = (mask & (arena.colour == top_colour)).nonzero()[0]
+    """Solve the subgame on ``mask``, whose vertices have ``degree`` (int32)
+    distinct successors in it, in place: ``region[v]`` is set to the winner
+    of each vertex, ``strategy[p, v]`` to the move letter of each of ``p``'s
+    vertices in ``p``'s region.  ``strategy`` is -1 ("no move") on the
+    subgame on entry and on the rest of the subgame on return.
 
-    attr, attr_vertices, attr_letters, subdegree = _attract(arena, mask, degree, top, winner)
-    submask = mask & ~attr
-    _solve(arena, submask, subdegree, region, strategy)
-    lost = (submask & (region == opponent)).nonzero()[0]
+    Zielonka's second recursive call is a loop.  An escape that misses the
+    top colour's attractor leaves it as it was (an opponent vertex outside
+    the escape has no edge into it, and the winner's attracted vertices keep
+    their moves), so the next round reuses the attractor, its moves and its
+    successor counts.
+    """
+    reused = None
+    while mask.any():
+        top_colour = arena.colour[mask].max()
+        winner = SYSTEM if top_colour % 2 == 0 else ENVIRONMENT
+        opponent = 1 - winner
+        top = (mask & (arena.colour == top_colour)).nonzero()[0]
 
-    if not lost.size:
-        # the whole remaining game belongs to the owner of the top colour
-        region[mask] = winner
-        strategy[winner, attr_vertices] = attr_letters
-        top = top[arena.owner[top] == winner]
-        strategy[winner, top] = mask[arena.successors(top, winner)].argmax(axis=1)
-        return
+        attr, attr_vertices, attr_letters, subdegree = reused or _attract(
+            arena, mask, degree, top, winner)
+        submask = mask & ~attr
+        _solve(arena, submask, subdegree, region, strategy)
+        lost = (submask & (region == opponent)).nonzero()[0]
 
-    # the winner's moves in the subgame are recomputed below
-    strategy[winner, submask] = -1
-    escape, escape_vertices, escape_letters, degree = _attract(arena, mask, degree, lost, opponent)
-    strategy[opponent, escape_vertices] = escape_letters
-    _solve(arena, mask & ~escape, degree, region, strategy)
-    region[escape] = opponent
+        if not lost.size:
+            # the whole remaining game belongs to the owner of the top colour
+            region[mask] = winner
+            strategy[winner, attr_vertices] = attr_letters
+            top = top[arena.owner[top] == winner]
+            strategy[winner, top] = mask[arena.successors(top, winner)].argmax(axis=1)
+            return
+
+        # the winner's moves in the subgame are recomputed below
+        strategy[winner, submask] = -1
+        escape, escape_vertices, escape_letters, degree = _attract(
+            arena, mask, degree, lost, opponent)
+        strategy[opponent, escape_vertices] = escape_letters
+        region[escape] = opponent
+        mask = mask & ~escape
+        reused = None if (escape & attr).any() else (
+            attr, attr_vertices, attr_letters,
+            np.where(arena.owned[winner], degree, subdegree))
 
 
 def solve_zielonka(game: SynthesisGame) -> Solution:
@@ -162,7 +178,7 @@ def solve_zielonka(game: SynthesisGame) -> Solution:
     arena = game.arena
     winner = np.zeros(arena.n, dtype=np.int8)
     strategy = np.full((2, arena.n), -1, dtype=np.intp)
-    _solve(arena, np.ones(arena.n, dtype=bool), arena.degree, winner, strategy)
+    _solve(arena, np.ones(arena.n, dtype=bool), arena.succ_count, winner, strategy)
     return Solution(winner, strategy)
 
 

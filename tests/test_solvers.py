@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -150,31 +151,54 @@ class TestArena:
                     array[0] = 1
 
     def test_predecessors_follow_the_stable_order(self):
+        """The stable order of the moves by target, with each repeated
+        (source, target) pair dropped: every target lists its distinct
+        sources once, ascending."""
         for game in random_games(60) + arbiter_games():
             arena = game.arena
             sources = np.repeat(np.arange(arena.n), arena.degree)
-            stable = sources[np.argsort(arena.succ_flat, kind="stable")]
-            assert np.array_equal(arena.pred_src, stable)
+            order = np.argsort(arena.succ_flat, kind="stable")
+            targets, stable = arena.succ_flat[order], sources[order]
+            first = np.ones(targets.size, dtype=bool)
+            first[1:] = (targets[1:] != targets[:-1]) | (stable[1:] != stable[:-1])
+            assert np.array_equal(arena.pred_src, stable[first])
+            assert np.array_equal(arena.pred_count,
+                                  np.bincount(targets[first], minlength=arena.n))
+            assert np.array_equal(arena.pred_ptr[1:], arena.pred_count.cumsum())
+            assert arena.succ_count.dtype == np.int32
+            assert arena.succ_count.tolist() == [len(set(t for _, t in moves(game, v)))
+                                                 for v in range(game.n_vertices)]
 
     def test_every_subgame_gets_its_out_degrees(self, monkeypatch):
-        """Each ``_solve`` call receives, on its mask, the number of edges
-        of each vertex that stay inside the mask."""
-        solve = solvers._solve
-        calls = 0
+        """Each ``_solve`` and each ``_attract`` call receives, on its mask,
+        the number of distinct successors of each vertex inside the mask."""
+        calls = {"_solve": 0, "_attract": 0}
 
-        def checked(arena, mask, degree, region, strategy):
-            nonlocal calls
-            calls += 1
-            inside = np.add.reduceat(mask[arena.succ_flat], arena.succ_ptr[:-1])
-            assert np.array_equal(degree[mask], inside[mask])
-            assert degree.dtype == np.int32
-            solve(arena, mask, degree, region, strategy)
+        def checked(name):
+            function = getattr(solvers, name)
 
-        monkeypatch.setattr(solvers, "_solve", checked)
-        games = random_games(150)
+            def check(arena, mask, degree, *rest):
+                calls[name] += 1
+                inside = []
+                for table in arena.succ:
+                    rows = np.sort(np.where(mask[table], table, -1), axis=1)
+                    new = np.ones(rows.shape, dtype=bool)
+                    new[:, 1:] = rows[:, 1:] != rows[:, :-1]
+                    inside.append(((rows >= 0) & new).sum(axis=1))
+                inside = np.concatenate(inside)
+                assert degree.dtype == np.int32
+                assert np.array_equal(degree[mask], inside[mask])
+                return function(arena, mask, degree, *rest)
+            return check
+
+        for name in calls:
+            monkeypatch.setattr(solvers, name, checked(name))
+        # the loop in _solve makes fewer calls than recursion did: enough
+        # games that each function is still checked over 500 times
+        games = random_games(250)
         for game in games + arbiter_games():
             solve_zielonka(game)
-        assert calls > 3 * len(games)
+        assert min(calls.values()) > 2 * len(games)
 
     def test_one_arena_per_game(self, monkeypatch):
         """A solve, a progress-measure run and a certification of one game
@@ -195,6 +219,84 @@ class TestArena:
             solve_progress_measures(game)
             assert certify_strategy(game, solution) is None
         assert built == games
+
+
+class TestReusedAttractor:
+    """An escape that misses the top colour's attractor leaves that
+    attractor as it was, and the next round reuses it."""
+
+    def test_three_client_arbiter_skips_one_attractor(self, monkeypatch):
+        game = game_of(arbiter_problem(3))
+        attract = solvers._attract
+        sizes = []
+
+        def counted(*args):
+            result = attract(*args)
+            sizes.append(np.count_nonzero(result[0]))
+            return result
+
+        monkeypatch.setattr(solvers, "_attract", counted)
+        solve_zielonka(game)
+        # recursion made 7 calls: after the 288-vertex escape it attracted
+        # the same 12,521 vertices a second time
+        assert sizes == [16, 12_521, 288, 288, 12_537, 288]
+
+    def test_random_games_reuse_exactly(self, monkeypatch):
+        """Each escape that misses its round's top-colour attractor is
+        checked against a fresh ``_attract`` on what the escape leaves, and
+        each game where one does still equals the reference solver.
+
+        A round makes its top-colour call and then its escape call on one
+        mask object, so the escape is the second call on a mask seen before.
+        (A round that reuses makes only the escape call; its reuse is not
+        counted.)"""
+        attract = solvers._attract
+        tops = {}  # id(mask) -> (mask, targets, player, result), masks kept alive
+        reuses = []
+
+        def checked(arena, mask, degree, targets, player):
+            result = attract(arena, mask, degree, targets, player)
+            top = tops.setdefault(id(mask), (mask, targets, player, result))
+            if top[3] is result:
+                return result
+            _, top_targets, winner, (attr, vertices, letters, subdegree) = top
+            escape, _, _, escape_degree = result
+            if not (escape & attr).any():
+                reuses.append(player)
+                rest = mask & ~escape
+                fresh = attract(arena, rest, escape_degree, top_targets, winner)
+                assert np.array_equal(fresh[0], attr)
+                assert np.array_equal(fresh[1], vertices)
+                assert np.array_equal(fresh[2], letters)
+                kept = rest & ~attr
+                reused = np.where(arena.owned[winner], escape_degree, subdegree)
+                assert np.array_equal(fresh[3][kept], reused[kept])
+            return result
+
+        monkeypatch.setattr(solvers, "_attract", checked)
+        rng = random.Random(20_261_020)
+        reusing = 0
+        for i in range(1_500):
+            game = random_game(rng, max_states=(3, 10, 20, 60)[i % 4])
+            before = len(reuses)
+            solution = solve_zielonka(game)
+            if len(reuses) > before:
+                reusing += 1
+                assert same_solution(solution, reference_zielonka(game)), i
+        assert reusing >= 100, reusing
+
+    # digests of the solutions that the recursive solver returned, which
+    # attracted every round afresh and counted one edge per letter
+    @pytest.mark.parametrize("unrealizable, winner, strategy", [
+        (False, "490cc6664be50218a5fdb3260bf65fc00978d10aea4ed499983ce8f61ede52ab",
+         "5d0500f57375cf1c40a8227b1117c96b4eeca2d513d157461c01e5597b777676"),
+        (True, "04821ef863f2a044d829a23d42a7dd54056f7d0b32a48c5aa37b5a63aa91943d",
+         "26996ea6129597f3a245129a3cbfef24f7afe5e45d481ec017c864676ea2a0b2")],
+        ids=["realizable", "unrealizable"])
+    def test_four_client_arbiter_is_unchanged(self, unrealizable, winner, strategy):
+        solution = solve_zielonka(game_of(arbiter_problem(4, unrealizable=unrealizable)))
+        assert hashlib.sha256(solution.winner.astype("i1").tobytes()).hexdigest() == winner
+        assert hashlib.sha256(solution.strategy.astype("<i8").tobytes()).hexdigest() == strategy
 
 
 def assert_counterexample(game: SynthesisGame, solution: Solution, found) -> None:
